@@ -18,7 +18,6 @@ from .exprs import (
     CaseExpr,
     ConstExpr,
     Expr,
-    IfExpr,
     LambdaExpr,
     LetInExpr,
     ListExpr,
@@ -42,7 +41,6 @@ from .types import (
     erase_counters,
     format_type,
     free_type_vars,
-    fun_of,
     list_of,
     option_of,
     set_of,

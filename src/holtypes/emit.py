@@ -12,12 +12,12 @@ from .exprs import (
     AppExpr,
     CaseExpr,
     ConstExpr,
-    IfExpr,
     LambdaExpr,
     LetInExpr,
     ListExpr,
     SetExpr,
     VarExpr,
+    children,
 )
 from .types import (
     BOTTOM,
@@ -68,9 +68,6 @@ def _format(e):
             return f"{left} {e.head} {right}", lvl
         args = " ".join(format_expr(a, _ATOM_LEVEL) for a in e.args)
         return f"{e.head} {args}", _APP_LEVEL
-    if isinstance(e, IfExpr):
-        parts = (format_expr(e.cond, 1), format_expr(e.then, 1), format_expr(e.otherwise, 0))
-        return f"if {parts[0]} then {parts[1]} else {parts[2]}", _PREFIX_LEVEL
     if isinstance(e, LambdaExpr):
         params = " ".join(e.params)
         return f"\\<lambda>{params}. {format_expr(e.body, 0)}", _PREFIX_LEVEL
@@ -177,8 +174,6 @@ def _node_doc(e, types):
         "end_line": e.span.end_line,
         "end_column": e.span.end_column,
     }
-    from .exprs import children
-
     doc["children"] = [_node_doc(c, types) for c in children(e)]
     return doc
 
@@ -224,12 +219,11 @@ class CppTypeMap:
     the rendered type arguments."""
 
     heads: dict[str, str] = field(default_factory=lambda: dict(_DEFAULT_HEADS))
-    function_template: str = "std::function<{ret}({args})>"
 
     def with_overrides(self, **heads):
         merged = dict(self.heads)
         merged.update(heads)
-        return CppTypeMap(merged, self.function_template)
+        return CppTypeMap(merged)
 
 
 def _collect_vars_in_order(t, order):
@@ -270,7 +264,7 @@ def render_cpp_type(t, cpp_map=None, var_names=None):
         if isinstance(t, Fun):
             ret = go(t.parts[-1])
             args = ", ".join(go(p) for p in t.parts[:-1])
-            return cpp_map.function_template.format(ret=ret, args=args)
+            return f"std::function<{ret}({args})>"
         if isinstance(t, Tuple):
             if "tuple" not in cpp_map.heads:
                 raise RenderError("no C++ mapping for tuple types")

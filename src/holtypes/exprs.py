@@ -20,10 +20,6 @@ class Span:
     end_line: int
     end_column: int
 
-    @classmethod
-    def point(cls, line, column):
-        return cls(line, column, line, column)
-
     def to(self, other):
         return Span(self.line, self.column, other.end_line, other.end_column)
 
@@ -57,15 +53,6 @@ class AppExpr(Expr):
 
 
 @dataclass
-class IfExpr(Expr):
-    # Kept for model completeness; the parser lowers if/then/else to an
-    # application of the builtin If, so inference never sees this kind.
-    cond: Expr = None
-    then: Expr = None
-    otherwise: Expr = None
-
-
-@dataclass
 class LambdaExpr(Expr):
     params: list[str] = field(default_factory=list)
     param_ids: list[int] = field(default_factory=list)
@@ -95,15 +82,10 @@ class SetExpr(Expr):
     elems: list[Expr] = field(default_factory=list)
 
 
-PATTERN_KINDS = (VarExpr, ConstExpr, AppExpr, ListExpr, SetExpr)
-
-
 def children(e):
     """Immediate sub-expressions of ``e`` in source order."""
     if isinstance(e, AppExpr):
         return list(e.args)
-    if isinstance(e, IfExpr):
-        return [e.cond, e.then, e.otherwise]
     if isinstance(e, LambdaExpr):
         return [e.body]
     if isinstance(e, CaseExpr):
@@ -147,8 +129,3 @@ def equal_modulo_ids(a, b):
         return False
     ca, cb = children(a), children(b)
     return len(ca) == len(cb) and all(equal_modulo_ids(x, y) for x, y in zip(ca, cb))
-
-
-def is_pattern(e):
-    """True when every node of ``e`` is a kind allowed in patterns."""
-    return all(isinstance(n, PATTERN_KINDS) for n in walk(e))

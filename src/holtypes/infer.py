@@ -82,16 +82,16 @@ class TypedSpec:
     def type_of(self, node_id):
         return self.node_types.get(node_id)
 
-    def bottom_nodes(self):
-        return sorted(nid for nid, t in self.node_types.items() if isinstance(t, Bottom))
-
-    def is_clean(self):
-        return not self.diagnostics
-
 
 class InferenceSession:
     """Mutable state for inferring one theory: the context, the error
-    list, the lambda placeholder counter, and rule tracing."""
+    list, the lambda placeholder counter, and rule tracing.
+
+    ``last_app`` holds the node id and positional types that ``unify_app``
+    wrote last.  A lambda's body application writes it as the last step of
+    its inference, and ``unify_abs`` reads it before any further
+    substitution, so it never needs rewriting.
+    """
 
     def __init__(self, registry, trace=False):
         self.registry = registry
@@ -100,7 +100,7 @@ class InferenceSession:
         self.lambda_counter = 0
         self.trace: list[str] | None = [] if trace else None
         self.td_replacements: list[tuple[int, object, object]] = []
-        self._app_parts: dict[int, list] = {}
+        self.last_app: tuple[int | None, list] = (None, [])
 
     def diagnose(self, node_id, kind, message):
         self.errors.append(Diagnostic(node_id, kind, message))
@@ -112,16 +112,6 @@ class InferenceSession:
         # Rewrite in place: callers hold references to the context across
         # substitution steps.
         self.ctx.node_types = apply_subst_ctx(subst, self.ctx).node_types
-        self._app_parts = {
-            nid: [apply_subst(subst, p) for p in parts]
-            for nid, parts in self._app_parts.items()
-        }
-
-    def set_app_parts(self, node_id, parts):
-        self._app_parts[node_id] = list(parts)
-
-    def app_parts(self, node_id):
-        return self._app_parts.get(node_id)
 
     def fresh_placeholder(self):
         v = Var(f"{LAMBDA_NAMESPACE}{self.lambda_counter}")
@@ -262,7 +252,6 @@ def bottom_up(sess, e):
             return
         if not e.args:
             ctx.set_type(e.node_id, head_type)
-            sess.set_app_parts(e.node_id, [head_type])
             sess.trace_rule("App-BU", e.node_id, None, head_type)
             return
         n_args = len(e.args)

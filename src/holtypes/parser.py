@@ -39,7 +39,7 @@ from .exprs import (
     VarExpr,
     walk,
 )
-from .types import Constructed, Fun, Prim, PRIMITIVE_NAMES, Tuple, TypeExpr, Var
+from .types import Constructed, Fun, Prim, PRIMITIVE_NAMES, Tuple, TypeExpr, Var, free_type_vars
 
 KEYWORDS = frozenset(
     ["fun", "primrec", "datatype", "where", "if", "then", "else", "case", "of", "let", "in", "div"]
@@ -48,8 +48,6 @@ KEYWORDS = frozenset(
 BUILTIN_CTOR_NAMES = frozenset(["Cons", "Nil", "Some", "None", "EmptySet"])
 
 _SYMBOLS = ["=>", "::", "=", "<", "+", "-", "*", "#", "!", "|", "(", ")", "[", "]", "{", "}", ",", "."]
-
-_OP_HEADS = frozenset(["=", "<", "+", "-", "*", "div", "#", "!"])
 
 
 @dataclass
@@ -381,7 +379,7 @@ class _ExprParser:
             if args:
                 span = head.span().to(args[-1].span)
                 return AppExpr(self.fresh(), span, head=head.value, args=args)
-            return self._name_pattern(head)
+            return self._name(head)
         return self.parse_pattern_atom()
 
     def _at_pattern_atom(self):
@@ -390,14 +388,8 @@ class _ExprParser:
             return tok.kind == "NUMBER" or tok.value not in KEYWORDS
         return tok.kind == "SYM" and tok.value in ("(", "[", "{")
 
-    def _name_pattern(self, tok):
-        # A bare constructor name in a pattern is a nullary construction,
-        # not a variable binding.
-        if tok.value in self.known_ctors:
-            return AppExpr(self.fresh(), tok.span(), head=tok.value, args=[])
-        return VarExpr(self.fresh(), tok.span(), name=tok.value)
-
-    def _name_expr(self, tok):
+    def _name(self, tok):
+        # A bare constructor name is a nullary construction, not a variable.
         if tok.value in self.known_ctors:
             return AppExpr(self.fresh(), tok.span(), head=tok.value, args=[])
         return VarExpr(self.fresh(), tok.span(), name=tok.value)
@@ -414,7 +406,7 @@ class _ExprParser:
             if tok.value in KEYWORDS:
                 raise ParseError(tok.line, tok.column, f"{tok.value!r} is not valid in a pattern")
             self.ts.next()
-            return self._name_pattern(tok)
+            return self._name(tok)
         if tok.kind == "SYM" and tok.value == "(":
             self.ts.next()
             inner = self.parse_pattern()
@@ -422,18 +414,19 @@ class _ExprParser:
             inner.span = tok.span().to(close.span())
             return inner
         if tok.kind == "SYM" and tok.value == "[":
-            return self._bracketed_pattern("[", "]", ListExpr, "Nil")
+            return self._bracketed("[", "]", ListExpr, "Nil", self.parse_pattern)
         if tok.kind == "SYM" and tok.value == "{":
-            return self._bracketed_pattern("{", "}", SetExpr, "EmptySet")
+            return self._bracketed("{", "}", SetExpr, "EmptySet", self.parse_pattern)
         raise ParseError(tok.line, tok.column, f"expected a pattern, found {tok.value or tok.kind!r}")
 
-    def _bracketed_pattern(self, open_sym, close_sym, node_cls, empty_ctor):
+    def _bracketed(self, open_sym, close_sym, node_cls, empty_ctor, parse_elem):
+        # Shared by patterns and expressions; only the element parser differs.
         open_tok = self.ts.expect_sym(open_sym)
         elems = []
         if not (self.ts.cur.kind == "SYM" and self.ts.cur.value == close_sym):
-            elems.append(self.parse_pattern())
+            elems.append(parse_elem())
             while self.ts.match_sym(","):
-                elems.append(self.parse_pattern())
+                elems.append(parse_elem())
         close = self.ts.expect_sym(close_sym)
         span = open_tok.span().to(close.span())
         if not elems:
@@ -549,7 +542,7 @@ class _ExprParser:
             if args:
                 return AppExpr(self.fresh(), head.span().to(args[-1].span),
                                head=head.value, args=args)
-            return self._name_expr(head)
+            return self._name(head)
         atom = self.parse_atom()
         if self._at_atom():
             nxt = self.ts.cur
@@ -576,7 +569,7 @@ class _ExprParser:
             if tok.value in KEYWORDS:
                 raise ParseError(tok.line, tok.column, f"unexpected keyword {tok.value!r}")
             self.ts.next()
-            return self._name_expr(tok)
+            return self._name(tok)
         if tok.kind == "LAMBDA":
             return self.parse_lambda()
         if tok.kind == "SYM" and tok.value == "(":
@@ -589,24 +582,10 @@ class _ExprParser:
             inner.span = tok.span().to(close.span())
             return inner
         if tok.kind == "SYM" and tok.value == "[":
-            return self._bracketed_expr("[", "]", ListExpr, "Nil")
+            return self._bracketed("[", "]", ListExpr, "Nil", self.parse_expr)
         if tok.kind == "SYM" and tok.value == "{":
-            return self._bracketed_expr("{", "}", SetExpr, "EmptySet")
+            return self._bracketed("{", "}", SetExpr, "EmptySet", self.parse_expr)
         raise ParseError(tok.line, tok.column, f"expected an expression, found {tok.value or tok.kind!r}")
-
-    def _bracketed_expr(self, open_sym, close_sym, node_cls, empty_ctor):
-        open_tok = self.ts.expect_sym(open_sym)
-        elems = []
-        if not (self.ts.cur.kind == "SYM" and self.ts.cur.value == close_sym):
-            elems.append(self.parse_expr())
-            while self.ts.match_sym(","):
-                elems.append(self.parse_expr())
-        close = self.ts.expect_sym(close_sym)
-        span = open_tok.span().to(close.span())
-        if not elems:
-            return AppExpr(self.fresh(), span, head=empty_ctor, args=[])
-        return node_cls(self.fresh(), span, elems=elems)
-
 
 class _IdAllocator:
     def __init__(self):
@@ -623,16 +602,10 @@ class _IdAllocator:
 
 
 def _validate_declared_type(t, tok):
-    for v in _collect_vars(t):
+    for v in free_type_vars(t):
         if v.counter is not None:
             raise ParseError(tok.line, tok.column,
                              "modification suffixes ('#') are reserved for the inference engine")
-
-
-def _collect_vars(t):
-    from .types import free_type_vars
-
-    return free_type_vars(t)
 
 
 def _parse_datatype(ts, ids, known_ctors, declared):
@@ -688,7 +661,7 @@ def _parse_datatype(ts, ids, known_ctors, declared):
                 break
         for at in arg_types:
             _validate_declared_type(at, ctor_tok)
-            for v in _collect_vars(at):
+            for v in free_type_vars(at):
                 if v.name not in param_set:
                     raise ParseError(
                         ctor_tok.line, ctor_tok.column,

@@ -18,6 +18,7 @@ from .types import (
     Var,
     apply_subst,
     SubstitutionSet,
+    format_type,
     free_type_vars,
 )
 
@@ -115,15 +116,9 @@ class SolverRegistry:
             raise UnknownNameError(name)
         return self.entries[name]
 
-    def lookup_unmodified(self, name):
-        """The scheme body verbatim, without freshening."""
-        return self.lookup(name).body
-
     def is_polymorphic_comparison(self, name):
         return name in POLYMORPHIC_COMPARISONS
 
     def dump(self):
         """All entries as ``name :: type`` lines, sorted by name."""
-        from .types import format_type
-
         return [f"{name} :: {format_type(s.body)}" for name, s in sorted(self.entries.items())]

@@ -144,10 +144,6 @@ def option_of(t):
     return Constructed((t,), "option")
 
 
-def fun_of(*parts):
-    return Fun(tuple(parts))
-
-
 def free_type_vars(t):
     """The set of variables occurring in ``t`` (empty for the error type)."""
     if isinstance(t, Var):
@@ -204,9 +200,6 @@ class SubstitutionSet:
 
     def items(self):
         return self.bindings.items()
-
-
-EMPTY_SUBSTITUTION = SubstitutionSet({})
 
 
 def apply_subst(s, t):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 
 from .errors import ConflictError, MismatchError, OccursError, UnificationError
-from .exprs import AppExpr, VarExpr
+from .exprs import VarExpr
 from .types import (
     BOTTOM,
     Bottom,
@@ -261,18 +261,21 @@ def unify_app(sess, e, head_type):
             sess.apply_substitution(subst)
             parts = [apply_subst(subst, p) for p in parts]
             sess.trace_rule("Uni-App", e.node_id, before, sess.ctx.type_of(e.node_id))
-    sess.set_app_parts(e.node_id, parts)
+    sess.last_app = (e.node_id, parts)
 
 
 def unify_abs(sess, e):
     """Unify a lambda with its body: a parameter that appears directly as
     an argument of the body application takes that position's type, and
-    the lambda's function type is rebuilt accordingly."""
+    the lambda's function type is rebuilt accordingly.
+
+    The positions come from ``sess.last_app``, written last by the body's
+    ``unify_app`` with no substitution since.  Another node's id there
+    means the body is no application with arguments, or failed first.
+    """
     body = e.body
-    if not isinstance(body, AppExpr):
-        return
-    positions = sess.app_parts(body.node_id)
-    if positions is None:
+    app_id, positions = sess.last_app
+    if app_id != body.node_id:
         return
     changed = False
     for i, arg in enumerate(body.args):

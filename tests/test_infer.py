@@ -183,6 +183,50 @@ class TestUnifyAbsExamples:
         v = t.parts[0]
         assert t == h.Fun((v, h.list_of(v), h.list_of(v)))
 
+    @staticmethod
+    def traced_lambda(source):
+        theory = h.parse_theory(source)
+        result = h.infer_theory(theory, trace=True)
+        rhs = theory.functions[-1].equations[0][1]
+        (lam,) = [n for n in walk(rhs) if isinstance(n, LambdaExpr)]
+        uni_abs = [line for line in result.session.trace if line.startswith("Uni-Abs")]
+        return lam, result.typed_specs[-1], uni_abs
+
+    def test_parameter_takes_body_position_type(self):
+        # x is both arguments of g; Uni-Abs gives it the second position's type.
+        lam, ts, uni_abs = self.traced_lambda(
+            'fun g :: "nat => bool => nat" where "g n b = n"\n'
+            'fun k :: "nat list => nat list" where "k xs = map (%x. g x x) xs"')
+        assert uni_abs == [f"Uni-Abs @ {lam.node_id} : nat => nat ⟶ bool => nat"]
+        assert [d.kind for d in ts.diagnostics] == ["mismatch", "mismatch"]
+
+    def test_positions_come_from_the_body_application(self):
+        # The inner application g x is unified last-but-one; the lambda must
+        # read the positions of the outer one, whose argument is no parameter.
+        lam, ts, uni_abs = self.traced_lambda(
+            'fun g :: "nat => nat" where "g n = n"\n'
+            'fun k :: "nat list => nat list" where "k xs = map (%x. g (g x)) xs"')
+        assert ts.type_of(lam.node_id) == h.Fun((nat, nat))
+        assert uni_abs == []
+        assert not ts.diagnostics
+
+    def test_positions_are_read_after_substitution(self):
+        # Unifying 0 turns Cons's second position from 'a list into nat list;
+        # the lambda must see the substituted position, which x already has.
+        lam, ts, uni_abs = self.traced_lambda(
+            'fun k :: "nat list list => nat list list" where '
+            '"k xss = map (%x. Cons 0 x) xss"')
+        assert ts.type_of(lam.node_id) == h.Fun((h.list_of(nat), h.list_of(nat)))
+        assert uni_abs == []
+        assert not ts.diagnostics
+
+    def test_nullary_body(self):
+        lam, ts, uni_abs = self.traced_lambda(
+            'fun k :: "nat list => nat list list" where "k xs = map (%x. Nil) xs"')
+        assert ts.type_of(lam.node_id) == h.Fun((nat, h.list_of(nat)))
+        assert uni_abs == []
+        assert not ts.diagnostics
+
 
 class TestTopDown:
     def test_nested_empty_list_completed(self):
@@ -224,7 +268,7 @@ class TestInferSpec:
     def test_test_spec_fully_typed(self):
         theory, result = infer_source(TEST_SPEC)
         ts = result.typed_specs[0]
-        assert ts.is_clean()
+        assert not ts.diagnostics
         for patterns, rhs in theory.functions[0].equations:
             for node in walk(rhs):
                 t = ts.type_of(node.node_id)
@@ -233,7 +277,7 @@ class TestInferSpec:
     def test_bs_recursive_calls(self):
         theory, result = infer_source(BS_SPEC)
         ts = result.typed_specs[0]
-        assert ts.is_clean()
+        assert not ts.diagnostics
         rhs3 = theory.functions[0].equations[2][1]
         for call in (n for n in walk(rhs3) if isinstance(n, AppExpr) and n.head == "bs"):
             assert ts.type_of(call.node_id) == h.option_of(nat)
@@ -244,7 +288,7 @@ class TestInferSpec:
     def test_product_lists_annotation_types(self):
         theory, result = infer_source(PRODUCT_LISTS_SPEC)
         ts = result.typed_specs[0]
-        assert ts.is_clean()
+        assert not ts.diagnostics
         rhs = theory.functions[0].equations[1][1]
         cons_app = find_app(rhs, "Cons")
         assert ts.type_of(cons_app.node_id) == h.Fun((h.list_of(a), h.list_of(a)))
@@ -255,7 +299,7 @@ class TestInferSpec:
     def test_mymap_empty_list_takes_return_element_type(self):
         theory, result = infer_source(MYMAP_SPEC)
         ts = result.typed_specs[0]
-        assert ts.is_clean()
+        assert not ts.diagnostics
         rhs1 = theory.functions[0].equations[0][1]
         assert ts.type_of(rhs1.node_id) == h.list_of(h.Var("e"))
 
@@ -278,7 +322,7 @@ class TestInferSpec:
         theory, result = infer_source(CORPUS[name])
         assert not all_diagnostics(result)
         for f, ts in zip(theory.functions, result.typed_specs):
-            assert not ts.bottom_nodes()
+            assert not [nid for nid, t in ts.node_types.items() if isinstance(t, h.Bottom)]
             for patterns, rhs in f.equations:
                 for p in patterns:
                     for node in walk(p):
@@ -322,7 +366,7 @@ class TestInferSpec:
         src = ('fun f :: "nat => nat list => nat" where '
                '"f x [] = x" | "f x (y # ys) = y"')
         theory, result = infer_source(src)
-        assert result.typed_specs[0].is_clean()
+        assert not result.typed_specs[0].diagnostics
 
     def test_trace_lines_have_rule_format(self):
         theory = h.parse_theory(TEST_SPEC)

@@ -4,10 +4,12 @@ import holtypes as h
 from holtypes.errors import ArityMismatchError, DuplicateNameError, ParseError
 from holtypes.exprs import (
     AppExpr,
+    ConstExpr,
     ListExpr,
+    SetExpr,
     VarExpr,
     equal_modulo_ids,
-    is_pattern,
+    walk,
 )
 
 from corpus import BS_SPEC, CORPUS, TEST_SPEC
@@ -102,7 +104,8 @@ class TestParseTheory:
         theory = h.parse_theory(BS_SPEC)
         for patterns, _ in theory.functions[0].equations:
             for p in patterns:
-                assert is_pattern(p)
+                assert all(isinstance(n, (VarExpr, ConstExpr, AppExpr, ListExpr, SetExpr))
+                           for n in walk(p))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(DuplicateNameError):

@@ -15,18 +15,18 @@ def test_prelude_contains_required_names(prelude):
 
 
 def test_builtin_cons_scheme(prelude):
-    assert prelude.lookup_unmodified("Cons") == h.parse_type("'a => 'a list => 'a list")
+    assert prelude.lookup("Cons").body == h.parse_type("'a => 'a list => 'a list")
     assert prelude.lookup("Cons").origin == BUILTIN
 
 
 def test_builtin_nil_scheme(prelude):
-    assert prelude.lookup_unmodified("Nil") == h.parse_type("'a list")
+    assert prelude.lookup("Nil").body == h.parse_type("'a list")
 
 
 def test_register_nullary_datatype(prelude):
     decl = h.DatatypeDecl("color", [], [("Red", []), ("Green", [])])
     prelude.register_datatype(decl)
-    assert prelude.lookup_unmodified("Red") == h.Constructed((), "color")
+    assert prelude.lookup("Red").body == h.Constructed((), "color")
     assert prelude.lookup("Red").origin == DATATYPE_DECL
 
 
@@ -34,7 +34,7 @@ def test_register_parameterised_datatype(prelude):
     tree = h.Constructed((h.Var("a"),), "tree")
     decl = h.DatatypeDecl("tree", ["a"], [("Leaf", []), ("Node", [tree, h.Var("a"), tree])])
     prelude.register_datatype(decl)
-    assert prelude.lookup_unmodified("Node") == h.Fun((tree, h.Var("a"), tree, tree))
+    assert prelude.lookup("Node").body == h.Fun((tree, h.Var("a"), tree, tree))
 
 
 @pytest.mark.parametrize("source,name,type_text", [
@@ -45,7 +45,7 @@ def test_register_parameterised_datatype(prelude):
 def test_register_function(prelude, source, name, type_text):
     theory = h.parse_theory(source)
     prelude.register_function(theory.functions[0])
-    assert prelude.lookup_unmodified(name) == h.parse_type(type_text)
+    assert prelude.lookup(name).body == h.parse_type(type_text)
     assert prelude.lookup(name).origin == FUNCTION_DECL
 
 
@@ -89,7 +89,7 @@ class TestInstantiate:
     def test_skeleton_preserved(self, prelude):
         for name in ["map", "Cons", "Nil", "concat", "If"]:
             t = prelude.instantiate(name)
-            assert erase_counters(t) == prelude.lookup_unmodified(name)
+            assert erase_counters(t) == prelude.lookup(name).body
 
     def test_no_variables_no_visible_change(self, prelude):
         assert prelude.instantiate("+") == h.parse_type("nat => nat => nat")
@@ -99,14 +99,14 @@ class TestLookupUnmodified:
     def test_function_scheme_verbatim(self, prelude):
         theory = h.parse_theory(BS_SPEC)
         prelude.register_function(theory.functions[0])
-        assert prelude.lookup_unmodified("bs") == h.parse_type("nat => nat list => nat option")
+        assert prelude.lookup("bs").body == h.parse_type("nat => nat list => nat option")
 
     def test_cons_verbatim(self, prelude):
-        assert prelude.lookup_unmodified("Cons") == h.parse_type("'a => 'a list => 'a list")
+        assert prelude.lookup("Cons").body == h.parse_type("'a => 'a list => 'a list")
 
     def test_unknown_name(self, prelude):
         with pytest.raises(UnknownNameError):
-            prelude.lookup_unmodified("foo")
+            prelude.lookup("foo")
 
 
 def test_polymorphic_comparison_flags(prelude):
