@@ -37,7 +37,6 @@ from .types import (
     Var,
     alpha_equivalent,
     apply_subst,
-    apply_subst_ctx,
     erase_counters,
     format_type,
     free_type_vars,

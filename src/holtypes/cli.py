@@ -15,7 +15,7 @@ import json
 import sys
 
 from .emit import emit_annotated, emit_json, render_cpp_signature
-from .errors import DuplicateNameError, HolTypesError, RenderError
+from .errors import HolTypesError, RenderError
 from .infer import infer_theory
 from .parser import parse_theory
 
@@ -23,6 +23,8 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_TYPE = 2
 EXIT_USAGE = 3
+
+TOO_DEEP = "expression nested too deeply"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -86,20 +88,20 @@ def main(argv=None):
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"holtypes: cannot read {args.file}: {err}", file=sys.stderr)
         return EXIT_USAGE
 
+    # Parsing and inference recurse over the expression tree; an input
+    # nested beyond the interpreter's stack is reported, not a traceback.
     try:
         theory = parse_theory(source)
+        result = infer_theory(theory, trace=args.trace)
     except HolTypesError as err:
         print(f"{args.file}: {err}", file=sys.stderr)
         return EXIT_PARSE
-
-    try:
-        result = infer_theory(theory, trace=args.trace)
-    except DuplicateNameError as err:
-        print(f"{args.file}: {err}", file=sys.stderr)
+    except RecursionError:
+        print(f"{args.file}: {TOO_DEEP}", file=sys.stderr)
         return EXIT_PARSE
 
     if args.trace and result.session.trace:
@@ -126,9 +128,15 @@ def main(argv=None):
         except RenderError as err:
             print(f"{args.file}: render error: {err}", file=sys.stderr)
             return EXIT_USAGE
-        _write_artifact("\n\n".join(artifacts), args.output)
-    elif artifacts:
-        _write_artifact("\n\n".join(artifacts), args.output)
+        except RecursionError:
+            print(f"{args.file}: render error: {TOO_DEEP}", file=sys.stderr)
+            return EXIT_USAGE
+    if artifacts or args.command == "annotate":
+        try:
+            _write_artifact("\n\n".join(artifacts), args.output)
+        except OSError as err:
+            print(f"holtypes: cannot write {args.output}: {err}", file=sys.stderr)
+            return EXIT_USAGE
 
     if n_errors:
         print(f"{args.file}: {n_errors} type error(s)", file=sys.stderr)

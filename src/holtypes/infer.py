@@ -40,7 +40,6 @@ from .types import (
     TypeContext,
     Var,
     apply_subst,
-    apply_subst_ctx,
     format_type,
     list_of,
     set_of,
@@ -84,8 +83,9 @@ class TypedSpec:
 
 
 class InferenceSession:
-    """Mutable state for inferring one theory: the context, the error
-    list, the lambda placeholder counter, and rule tracing.
+    """Mutable state for inferring one theory: the current equation's
+    context, the error list, the lambda placeholder counter, and rule
+    tracing.
 
     ``last_app`` holds the node id and positional types that ``unify_app``
     wrote last.  A lambda's body application writes it as the last step of
@@ -111,7 +111,7 @@ class InferenceSession:
     def apply_substitution(self, subst):
         # Rewrite in place: callers hold references to the context across
         # substitution steps.
-        self.ctx.node_types = apply_subst_ctx(subst, self.ctx).node_types
+        self.ctx.node_types = {k: apply_subst(subst, t) for k, t in self.ctx.node_types.items()}
 
     def fresh_placeholder(self):
         v = Var(f"{LAMBDA_NAMESPACE}{self.lambda_counter}")
@@ -470,41 +470,27 @@ def _seed_return_type(sess, rhs, declared_ret):
     ctx.set_type(rhs.node_id, BOTTOM)
 
 
-def _equation_node_ids(patterns, rhs):
-    for p in patterns:
-        for node in walk(p):
-            yield node
-    for node in walk(rhs):
-        yield node
-
-
 def infer_spec(sess, f):
-    """Run the three stages over every equation of ``f`` and collect the
-    final node types into a TypedSpec."""
+    """Run the three stages over every equation of ``f``, each in a fresh
+    context, and collect the final node types into a TypedSpec."""
     diag_start = len(sess.errors)
     node_types = {}
     for patterns, rhs in f.equations:
-        sess.ctx.push_scope()
+        sess.ctx = ctx = TypeContext()
         for pat, declared in zip(patterns, f.param_types):
-            sess.ctx.set_type(pat.node_id, declared)
+            ctx.set_type(pat.node_id, declared)
             sess.trace_rule("EX-Seed", pat.node_id, None, declared)
             extract_pattern_types(sess, pat)
         bottom_up(sess, rhs)
         _seed_return_type(sess, rhs, f.return_type)
         top_down(sess, rhs)
-        sess.ctx.pop_scope()
-        # Snapshot now: later equations' substitutions must not rewrite
-        # the types this equation settled on.
-        for node in _equation_node_ids(patterns, rhs):
-            t = sess.ctx.type_of(node.node_id)
-            if t is None:
-                t = BOTTOM
-            node_types[node.node_id] = t
-            node.type_slot = t
-            if isinstance(node, LambdaExpr):
-                for pid in node.param_ids:
-                    pt = sess.ctx.type_of(pid)
-                    node_types[pid] = pt if pt is not None else BOTTOM
+        for root in (*patterns, rhs):
+            for node in walk(root):
+                t = ctx.type_of(node.node_id) or BOTTOM
+                node_types[node.node_id] = node.type_slot = t
+                if isinstance(node, LambdaExpr):
+                    for pid in node.param_ids:
+                        node_types[pid] = ctx.type_of(pid) or BOTTOM
     return TypedSpec(f, node_types, list(sess.errors[diag_start:]))
 
 

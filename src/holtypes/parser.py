@@ -629,6 +629,10 @@ def _parse_datatype(ts, ids, known_ctors, declared):
     if name in declared:
         raise DuplicateNameError(name)
     declared.add(name)
+    try:
+        Constructed(tuple(Var(p) for p in type_params), name)
+    except ValueError as err:
+        raise ParseError(name_tok.line, name_tok.column, str(err)) from None
     ts.expect_sym("=", "'=' after datatype name")
     ctors = []
     param_set = set(type_params)

@@ -225,9 +225,9 @@ class TypeContext:
     resolution.
     """
 
-    def __init__(self, node_types=None, scopes=None):
-        self.node_types = dict(node_types) if node_types else {}
-        self.scopes = scopes if scopes is not None else []
+    def __init__(self):
+        self.node_types = {}
+        self.scopes = [{}]
 
     def set_type(self, node_id, t):
         self.node_types[node_id] = t
@@ -250,13 +250,6 @@ class TypeContext:
             if name in scope:
                 return scope[name]
         return None
-
-
-def apply_subst_ctx(s, ctx):
-    """Apply a substitution to every node type; scopes are unchanged."""
-    new = TypeContext(scopes=ctx.scopes)
-    new.node_types = {k: apply_subst(s, t) for k, t in ctx.node_types.items()}
-    return new
 
 
 def format_type(t):

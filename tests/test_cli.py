@@ -107,3 +107,51 @@ def test_diagnostics_use_error_stream_artifacts_stdout(theory_file, capsys):
     assert code == 2
     assert "mismatch" in captured.err
     assert "(x :: <error>)" in captured.out
+
+
+def test_non_utf8_file_exits_three(tmp_path, capsys):
+    path = tmp_path / "latin1.thy"
+    path.write_bytes(b'fun f :: "nat => nat" where "f x = x" (* \xe9 *)\n')
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"holtypes: cannot read {path}: ")
+
+
+def test_unwritable_output_exits_three(theory_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code = main(["annotate", theory_file(TEST_SPEC), "--output", str(target)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"holtypes: cannot write {target}: ")
+
+
+@pytest.mark.parametrize("source, column", [
+    ("datatype list = A", 10),
+    ("datatype ('a, 'b) set = A", 19),
+])
+def test_builtin_type_arity_in_datatype_exits_one(theory_file, capsys, source, column):
+    code = main(["check", theory_file(source)])
+    assert code == 1
+    assert f"spec.thy: 1:{column}: " in capsys.readouterr().err
+
+
+def _equation(rhs):
+    return f'fun f :: "nat => nat" where "f x = {rhs}"'
+
+
+def test_deep_parentheses_exit_one(theory_file, capsys):
+    code = main(["check", theory_file(_equation("(" * 120 + "x" + ")" * 120))])
+    assert code == 1
+    assert capsys.readouterr().err.endswith("spec.thy: expression nested too deeply\n")
+
+
+def test_long_sum_chain_under_check_exits_one(theory_file, capsys):
+    code = main(["check", theory_file(_equation(" + ".join(["x"] * 3000)))])
+    assert code == 1
+    assert "expression nested too deeply" in capsys.readouterr().err
+
+
+def test_sum_chain_too_deep_to_render_exits_three(theory_file, capsys):
+    path = theory_file(_equation(" + ".join(["x"] * 600)))
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    assert main(["annotate", "--emit", "json", path]) == 3
+    assert capsys.readouterr().err.endswith("render error: expression nested too deeply\n")

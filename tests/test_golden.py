@@ -28,6 +28,8 @@ MODES = {
     "annotated": ["annotate", "--emit", "annotated"],
     "json": ["annotate", "--emit", "json"],
     "cpp-types": ["annotate", "--emit", "cpp-types"],
+    "trace": ["check", "--trace"],
+    "sigma": ["check", "--dump-sigma"],
 }
 
 TABLE = Path(__file__).with_name("golden_digests.json")

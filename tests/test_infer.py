@@ -368,9 +368,41 @@ class TestInferSpec:
         theory, result = infer_source(src)
         assert not result.typed_specs[0].diagnostics
 
+    def test_later_equation_does_not_rewrite_earlier_one(self):
+        # The second equation binds 'a := nat; the first keeps 'a.
+        src = 'fun f :: "\'a => \'a" where "f x = x" | "f y = y + 1"'
+        theory, result = infer_source(src)
+        ts = result.typed_specs[0]
+        (first_pats, first_rhs), (second_pats, _) = theory.functions[0].equations
+        assert ts.type_of(first_pats[0].node_id) == a
+        assert ts.type_of(first_rhs.node_id) == a
+        assert first_pats[0].type_slot == a and first_rhs.type_slot == a
+        assert ts.type_of(second_pats[0].node_id) == nat
+
     def test_trace_lines_have_rule_format(self):
         theory = h.parse_theory(TEST_SPEC)
         result = h.infer_theory(theory, trace=True)
         assert result.session.trace
         for line in result.session.trace:
             assert " @ " in line and " : " in line and "⟶" in line
+
+
+class TestApplySubstitution:
+    def test_rewrites_node_types(self):
+        sess = fresh_session()
+        sess.ctx.set_type(1, h.list_of(a))
+        sess.apply_substitution(h.SubstitutionSet({a: nat}))
+        assert sess.ctx.type_of(1) == h.list_of(nat)
+
+    def test_identity(self):
+        sess = fresh_session()
+        sess.ctx.set_type(1, h.Prim("bool"))
+        before = dict(sess.ctx.node_types)
+        sess.apply_substitution(h.SubstitutionSet({}))
+        assert sess.ctx.node_types == before
+
+    def test_no_occurrence(self):
+        sess = fresh_session()
+        sess.ctx.set_type(1, h.Prim("bool"))
+        sess.apply_substitution(h.SubstitutionSet({a: nat}))
+        assert sess.ctx.type_of(1) == h.Prim("bool")

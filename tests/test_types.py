@@ -103,25 +103,6 @@ class TestApplySubst:
 
 
 class TestContext:
-    def test_apply_subst_ctx_rewrites_node_types(self):
-        ctx = h.TypeContext()
-        ctx.set_type(1, h.list_of(a))
-        s = h.SubstitutionSet({a: nat})
-        out = h.apply_subst_ctx(s, ctx)
-        assert out.type_of(1) == h.list_of(nat)
-
-    def test_apply_subst_ctx_identity(self):
-        ctx = h.TypeContext()
-        ctx.set_type(1, bool_)
-        out = h.apply_subst_ctx(h.SubstitutionSet({}), ctx)
-        assert out.node_types == ctx.node_types
-
-    def test_apply_subst_ctx_no_occurrence(self):
-        ctx = h.TypeContext()
-        ctx.set_type(1, bool_)
-        out = h.apply_subst_ctx(h.SubstitutionSet({a: nat}), ctx)
-        assert out.type_of(1) == bool_
-
     def test_scope_resolution_is_innermost_first(self):
         ctx = h.TypeContext()
         ctx.push_scope()
