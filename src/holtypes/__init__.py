@@ -2,7 +2,6 @@
 
 from .errors import (
     ArityMismatchError,
-    BudgetExceededError,
     ConflictError,
     DuplicateNameError,
     HolTypesError,
@@ -47,7 +46,6 @@ from .types import (
 from .parser import DatatypeDecl, FunctionSpec, TheoryFile, parse_theory, parse_type
 from .registry import SolverRegistry, TypeScheme
 from .unify import Relation, compare, reduce, unify_abs, unify_app
-from .oracle import enumerate_types, oracle_equalize, oracle_unify, relation_holds
 from .infer import (
     Diagnostic,
     InferenceResult,

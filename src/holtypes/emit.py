@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 from .errors import RenderError
 from .exprs import (
+    BINARY_OPS,
+    RIGHT_ASSOC,
     AppExpr,
     CaseExpr,
     ConstExpr,
@@ -32,13 +34,11 @@ from .types import (
 
 JSON_SCHEMA_VERSION = 1
 
-# Binding levels, loosest first: prefix forms, comparisons, additive,
-# multiplicative, cons, indexing, application, atoms.
-_OP_LEVELS = {"=": 1, "<": 1, "+": 2, "-": 2, "*": 3, "div": 3, "#": 4, "!": 5}
-_RIGHT_ASSOC = frozenset(["#"])
+# Binding levels, loosest first: prefix forms, the binary operators of
+# BINARY_OPS, application, atoms.
 _PREFIX_LEVEL = 0
-_APP_LEVEL = 6
-_ATOM_LEVEL = 7
+_APP_LEVEL = max(BINARY_OPS.values()) + 1
+_ATOM_LEVEL = _APP_LEVEL + 1
 
 
 def format_expr(e, level=0):
@@ -57,14 +57,11 @@ def _format(e):
     if isinstance(e, AppExpr):
         if not e.args:
             return e.head, _ATOM_LEVEL
-        if e.head in _OP_LEVELS and len(e.args) == 2:
-            lvl = _OP_LEVELS[e.head]
-            if e.head in _RIGHT_ASSOC:
-                left = format_expr(e.args[0], lvl + 1)
-                right = format_expr(e.args[1], lvl)
-            else:
-                left = format_expr(e.args[0], lvl)
-                right = format_expr(e.args[1], lvl + 1)
+        if e.head in BINARY_OPS and len(e.args) == 2:
+            lvl = BINARY_OPS[e.head]
+            right_assoc = e.head in RIGHT_ASSOC
+            left = format_expr(e.args[0], lvl + 1 if right_assoc else lvl)
+            right = format_expr(e.args[1], lvl if right_assoc else lvl + 1)
             return f"{left} {e.head} {right}", lvl
         args = " ".join(format_expr(a, _ATOM_LEVEL) for a in e.args)
         return f"{e.head} {args}", _APP_LEVEL
@@ -117,7 +114,7 @@ def _annotate(e, types):
     if isinstance(e, AppExpr):
         if not e.args:
             return f"({e.head} :: {t})"
-        if e.head in _OP_LEVELS and len(e.args) == 2:
+        if e.head in BINARY_OPS and len(e.args) == 2:
             inner = f"{_annotate(e.args[0], types)} {e.head} {_annotate(e.args[1], types)}"
         else:
             inner = e.head + " " + " ".join(_annotate(a, types) for a in e.args)

@@ -63,13 +63,6 @@ class ConflictError(UnificationError):
         self.type2 = type2
 
 
-class BudgetExceededError(HolTypesError):
-    def __init__(self, size, cap):
-        super().__init__(f"enumeration space {size} exceeds cap {cap}")
-        self.size = size
-        self.cap = cap
-
-
 class RenderError(HolTypesError):
     def __init__(self, message):
         super().__init__(message)

@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 INTEGRAL = "integral"
 BOOLEAN = "boolean"
 
+# Binary operators and their binding levels, loosest first.  Application
+# binds tighter than every level; all operators associate to the left
+# except those in RIGHT_ASSOC.  The parser and the printers both read
+# this table.
+BINARY_OPS = {"=": 1, "<": 1, "+": 2, "-": 2, "*": 3, "div": 3, "#": 4, "!": 5}
+RIGHT_ASSOC = frozenset(["#"])
+
 
 @dataclass
 class Span:

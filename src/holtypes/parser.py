@@ -1,18 +1,13 @@
-"""Lexer and recursive-descent parser for theory files.
+"""Lexer and parser for theory files.
 
 A theory file is a sequence of ``datatype`` and ``fun``/``primrec``
 declarations.  Declared types and equations appear inside double-quoted
 strings and are re-lexed with their file position preserved, so
 diagnostics point at the real location.
 
-Expression syntax (tightest binding first):
-
-    application by juxtaposition (arguments are atoms)
-    xs ! i                 (left-assoc)
-    x # xs                 (right-assoc)
-    * div                  (left-assoc)
-    + -                    (left-assoc)
-    = <                    (left-assoc)
+Application by juxtaposition (arguments are atoms) binds tightest; the
+binary operators bind and associate as ``exprs.BINARY_OPS`` and
+``exprs.RIGHT_ASSOC`` say, parsed by one precedence-climbing loop.
 
 ``if/then/else`` lowers to an application of the builtin ``If``; the
 empty list ``[]`` and empty set ``{}`` lower to the nullary constructors
@@ -25,6 +20,8 @@ from dataclasses import dataclass, field
 
 from .errors import ArityMismatchError, DuplicateNameError, ParseError
 from .exprs import (
+    BINARY_OPS,
+    RIGHT_ASSOC,
     AppExpr,
     BOOLEAN,
     ConstExpr,
@@ -39,7 +36,8 @@ from .exprs import (
     VarExpr,
     walk,
 )
-from .types import Constructed, Fun, Prim, PRIMITIVE_NAMES, Tuple, TypeExpr, Var, free_type_vars
+from .types import (BUILTIN_UNARY_CTORS, Constructed, Fun, Prim, PRIMITIVE_NAMES, Tuple, TypeExpr,
+                    Var, free_type_vars)
 
 KEYWORDS = frozenset(
     ["fun", "primrec", "datatype", "where", "if", "then", "else", "case", "of", "let", "in", "div"]
@@ -258,6 +256,10 @@ class _TokenStream:
             )
         return tok
 
+    def expect_kw(self, word):
+        if self.match_kw(word) is None:
+            raise ParseError(self.cur.line, self.cur.column, f"expected {word!r}")
+
     def expect_ident(self, what="identifier"):
         if self.cur.kind != "IDENT":
             raise ParseError(
@@ -362,12 +364,7 @@ class _ExprParser:
     # -- patterns ----------------------------------------------------------
 
     def parse_pattern(self):
-        left = self.parse_pattern_app()
-        if self.ts.cur.kind == "SYM" and self.ts.cur.value == "#":
-            op = self.ts.next()
-            right = self.parse_pattern()
-            return AppExpr(self.fresh(), left.span.to(right.span), head="#", args=[left, right])
-        return left
+        return self.parse_binary(self.parse_pattern_app, {"#": BINARY_OPS["#"]})
 
     def parse_pattern_app(self):
         tok = self.ts.cur
@@ -394,15 +391,20 @@ class _ExprParser:
             return AppExpr(self.fresh(), tok.span(), head=tok.value, args=[])
         return VarExpr(self.fresh(), tok.span(), name=tok.value)
 
+    def _literal(self, tok):
+        """The integer or boolean literal at ``tok``, consumed, or None."""
+        if tok.kind == "NUMBER" or (tok.kind == "IDENT" and tok.value in ("True", "False")):
+            self.ts.next()
+            kind = INTEGRAL if tok.kind == "NUMBER" else BOOLEAN
+            return ConstExpr(self.fresh(), tok.span(), literal=tok.value, literal_kind=kind)
+        return None
+
     def parse_pattern_atom(self):
         tok = self.ts.cur
-        if tok.kind == "NUMBER":
-            self.ts.next()
-            return ConstExpr(self.fresh(), tok.span(), literal=tok.value, literal_kind=INTEGRAL)
+        lit = self._literal(tok)
+        if lit is not None:
+            return lit
         if tok.kind == "IDENT":
-            if tok.value in ("True", "False"):
-                self.ts.next()
-                return ConstExpr(self.fresh(), tok.span(), literal=tok.value, literal_kind=BOOLEAN)
             if tok.value in KEYWORDS:
                 raise ParseError(tok.line, tok.column, f"{tok.value!r} is not valid in a pattern")
             self.ts.next()
@@ -445,7 +447,7 @@ class _ExprParser:
             return self.parse_case()
         if tok.kind == "IDENT" and tok.value == "if":
             return self.parse_if()
-        return self.parse_cmp()
+        return self.parse_binary(self.parse_app)
 
     def parse_lambda(self):
         lam = self.ts.next()
@@ -465,8 +467,7 @@ class _ExprParser:
         pattern = self.parse_pattern()
         self.ts.expect_sym("=", "'=' in let binding")
         bound = self.parse_expr()
-        if not self.ts.match_kw("in"):
-            raise ParseError(self.ts.cur.line, self.ts.cur.column, "expected 'in'")
+        self.ts.expect_kw("in")
         body = self.parse_expr()
         return LetInExpr(self.fresh(), kw.span().to(body.span),
                          pattern=pattern, bound=bound, body=body)
@@ -474,8 +475,7 @@ class _ExprParser:
     def parse_case(self):
         kw = self.ts.next()
         scrutinee = self.parse_expr()
-        if not self.ts.match_kw("of"):
-            raise ParseError(self.ts.cur.line, self.ts.cur.column, "expected 'of'")
+        self.ts.expect_kw("of")
         branches = []
         while True:
             pattern = self.parse_pattern()
@@ -490,47 +490,28 @@ class _ExprParser:
     def parse_if(self):
         kw = self.ts.next()
         cond = self.parse_expr()
-        if not self.ts.match_kw("then"):
-            raise ParseError(self.ts.cur.line, self.ts.cur.column, "expected 'then'")
+        self.ts.expect_kw("then")
         then = self.parse_expr()
-        if not self.ts.match_kw("else"):
-            raise ParseError(self.ts.cur.line, self.ts.cur.column, "expected 'else'")
+        self.ts.expect_kw("else")
         otherwise = self.parse_expr()
         # One inference path for both spellings: If is an ordinary builtin.
         span = kw.span().to(otherwise.span)
         return AppExpr(self.fresh(), span, head="If", args=[cond, then, otherwise])
 
-    def _binop(self, parse_operand, ops):
+    def parse_binary(self, parse_operand, ops=BINARY_OPS, min_level=1):
+        """Precedence climbing: an operand, then every operator of ``ops``
+        (name -> level) at ``min_level`` or tighter with its right operand."""
         left = parse_operand()
         while True:
             tok = self.ts.cur
-            is_sym = tok.kind == "SYM" and tok.value in ops
-            is_kw = tok.kind == "IDENT" and tok.value in ops
-            if not (is_sym or is_kw):
+            # Only symbols and keywords: the type variable 'div has value "div" too.
+            level = ops.get(tok.value, 0) if tok.kind in ("SYM", "IDENT") else 0
+            if level < min_level:
                 return left
             self.ts.next()
-            right = parse_operand()
+            right = self.parse_binary(parse_operand, ops,
+                                      level if tok.value in RIGHT_ASSOC else level + 1)
             left = AppExpr(self.fresh(), left.span.to(right.span), head=tok.value, args=[left, right])
-
-    def parse_cmp(self):
-        return self._binop(self.parse_add, ("=", "<"))
-
-    def parse_add(self):
-        return self._binop(self.parse_mul, ("+", "-"))
-
-    def parse_mul(self):
-        return self._binop(self.parse_cons, ("*", "div"))
-
-    def parse_cons(self):
-        left = self.parse_index()
-        if self.ts.cur.kind == "SYM" and self.ts.cur.value == "#":
-            self.ts.next()
-            right = self.parse_cons()
-            return AppExpr(self.fresh(), left.span.to(right.span), head="#", args=[left, right])
-        return left
-
-    def parse_index(self):
-        return self._binop(self.parse_app, ("!",))
 
     def parse_app(self):
         tok = self.ts.cur
@@ -550,22 +531,14 @@ class _ExprParser:
         return atom
 
     def _at_atom(self):
-        tok = self.ts.cur
-        if tok.kind == "NUMBER" or tok.kind == "LAMBDA":
-            return True
-        if tok.kind == "IDENT":
-            return tok.value not in KEYWORDS
-        return tok.kind == "SYM" and tok.value in ("(", "[", "{")
+        return self.ts.cur.kind == "LAMBDA" or self._at_pattern_atom()
 
     def parse_atom(self):
         tok = self.ts.cur
-        if tok.kind == "NUMBER":
-            self.ts.next()
-            return ConstExpr(self.fresh(), tok.span(), literal=tok.value, literal_kind=INTEGRAL)
+        lit = self._literal(tok)
+        if lit is not None:
+            return lit
         if tok.kind == "IDENT":
-            if tok.value in ("True", "False"):
-                self.ts.next()
-                return ConstExpr(self.fresh(), tok.span(), literal=tok.value, literal_kind=BOOLEAN)
             if tok.value in KEYWORDS:
                 raise ParseError(tok.line, tok.column, f"unexpected keyword {tok.value!r}")
             self.ts.next()
@@ -629,10 +602,8 @@ def _parse_datatype(ts, ids, known_ctors, declared):
     if name in declared:
         raise DuplicateNameError(name)
     declared.add(name)
-    try:
-        Constructed(tuple(Var(p) for p in type_params), name)
-    except ValueError as err:
-        raise ParseError(name_tok.line, name_tok.column, str(err)) from None
+    if name in PRIMITIVE_NAMES or name in BUILTIN_UNARY_CTORS:
+        raise ParseError(name_tok.line, name_tok.column, f"cannot redefine the builtin type {name!r}")
     ts.expect_sym("=", "'=' after datatype name")
     ctors = []
     param_set = set(type_params)
@@ -712,8 +683,7 @@ def _parse_function(ts, ids, known_ctors, declared):
     if not isinstance(declared_type, Fun):
         raise ParseError(type_tok.line, type_tok.column,
                          f"function {name!r} needs a function type")
-    if not ts.match_kw("where"):
-        raise ParseError(ts.cur.line, ts.cur.column, "expected 'where'")
+    ts.expect_kw("where")
     declared.add(name)
     n_params = len(declared_type.parts) - 1
     equations = []

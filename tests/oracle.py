@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceededError
-from .types import (
+from holtypes.errors import HolTypesError
+from holtypes.types import (
     Bottom,
     Constructed,
     Fun,
@@ -25,6 +25,13 @@ from .types import (
 )
 
 DEFAULT_CAP = 2_000_000
+
+
+class BudgetExceededError(HolTypesError):
+    def __init__(self, size, cap):
+        super().__init__(f"enumeration space {size} exceeds cap {cap}")
+        self.size = size
+        self.cap = cap
 
 
 def relation_holds(t, s):

@@ -10,7 +10,6 @@ import pytest
 import holtypes as h
 from holtypes.errors import UnificationError
 from holtypes.exprs import AppExpr, walk
-from holtypes.oracle import enumerate_types, oracle_unify
 from holtypes.unify import compare, reduce
 
 from corpus import (
@@ -22,6 +21,7 @@ from corpus import (
     find_app,
     infer_source,
 )
+from oracle import enumerate_types, oracle_unify
 
 nat = h.Prim("nat")
 bool_ = h.Prim("bool")

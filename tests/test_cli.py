@@ -126,6 +126,12 @@ def test_unwritable_output_exits_three(theory_file, tmp_path, capsys):
 @pytest.mark.parametrize("source, column", [
     ("datatype list = A", 10),
     ("datatype ('a, 'b) set = A", 19),
+    ("datatype nat = Z", 10),
+    ("datatype bool = A", 10),
+    ("datatype int = A", 10),
+    ("datatype 'a list = A", 13),
+    ("datatype 'a set = A", 13),
+    ("datatype 'a option = A", 13),
 ])
 def test_builtin_type_arity_in_datatype_exits_one(theory_file, capsys, source, column):
     code = main(["check", theory_file(source)])
@@ -138,9 +144,19 @@ def _equation(rhs):
 
 
 def test_deep_parentheses_exit_one(theory_file, capsys):
-    code = main(["check", theory_file(_equation("(" * 120 + "x" + ")" * 120))])
+    code = main(["check", theory_file(_equation("(" * 1000 + "x" + ")" * 1000))])
     assert code == 1
     assert capsys.readouterr().err.endswith("spec.thy: expression nested too deeply\n")
+
+
+@pytest.mark.parametrize("mode", [["check"], ["annotate"], ["annotate", "--emit", "json"]])
+@pytest.mark.parametrize("rhs", [
+    "(" * 200 + "x" + ")" * 200,
+    "(If (x = 0) " * 200 + "x" + " x)" * 200,
+], ids=["parentheses", "ifs"])
+def test_200_nesting_levels_exit_zero(theory_file, capsys, rhs, mode):
+    assert main([*mode, theory_file(_equation(rhs))]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_long_sum_chain_under_check_exits_one(theory_file, capsys):

@@ -1,9 +1,10 @@
 import pytest
 
 import holtypes as h
-from holtypes.errors import BudgetExceededError, UnificationError
-from holtypes.oracle import enumerate_types, oracle_equalize, oracle_unify, relation_holds
+from holtypes.errors import UnificationError
 from holtypes.unify import compare, reduce
+
+from oracle import BudgetExceededError, enumerate_types, oracle_equalize, oracle_unify, relation_holds
 
 nat = h.Prim("nat")
 bool_ = h.Prim("bool")

@@ -1,8 +1,17 @@
+import itertools
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holtypes as h
 from holtypes.errors import ArityMismatchError, DuplicateNameError, ParseError
 from holtypes.exprs import (
+    BINARY_OPS,
+    BOOLEAN,
+    RIGHT_ASSOC,
     AppExpr,
     ConstExpr,
     ListExpr,
@@ -212,6 +221,70 @@ class TestRoundTrip:
                 (re_pats, re_rhs) = re_f.equations[0]
                 assert equal_modulo_ids(re_rhs, rhs)
                 assert all(equal_modulo_ids(a, b) for a, b in zip(re_pats, patterns))
+
+
+def _rhs(text):
+    theory = h.parse_theory(f'fun f :: "nat => nat" where "f x = {text}"')
+    return theory.functions[0].equations[0][1]
+
+
+def _op(head, left, right):
+    return AppExpr(0, head=head, args=[left, right])
+
+
+class TestBinaryOperators:
+    @pytest.mark.parametrize("op1, op2", list(itertools.product(BINARY_OPS, repeat=2)))
+    def test_pair_groups_by_level_and_associativity(self, op1, op2):
+        a, b, c = (VarExpr(0, name=n) for n in "abc")
+        left_first = _op(op2, _op(op1, a, b), c)
+        right_first = _op(op1, a, _op(op2, b, c))
+        level1, level2 = BINARY_OPS[op1], BINARY_OPS[op2]
+        groups_left = level1 > level2 or (level1 == level2 and op1 not in RIGHT_ASSOC)
+        expected = left_first if groups_left else right_first
+        assert equal_modulo_ids(_rhs(f"a {op1} b {op2} c"), expected)
+        for tree in (left_first, right_first):
+            assert equal_modulo_ids(_rhs(h.format_expr(tree)), tree)
+
+    def test_readme_precedence_table_matches(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", readme, re.M)
+        tightest_first = sorted(set(BINARY_OPS.values()), reverse=True)
+        assert [set(ops.split()) for ops, _ in rows] == [
+            {op for op, level in BINARY_OPS.items() if level == lv} for lv in tightest_first
+        ]
+        for ops, text in rows:
+            right = set(ops.split()) <= RIGHT_ASSOC
+            assert ("right-associative" if right else "left-associative") in text
+
+
+def _exprs():
+    """Hypothesis strategy for expressions the printer and parser share:
+    atoms, applications, list and set literals and binary operators."""
+    atoms = st.one_of(
+        st.sampled_from(["x", "y", "zs"]).map(lambda n: VarExpr(0, name=n)),
+        st.integers(0, 99).map(lambda i: ConstExpr(0, literal=str(i))),
+        st.sampled_from(["True", "False"]).map(
+            lambda b: ConstExpr(0, literal=b, literal_kind=BOOLEAN)),
+        st.sampled_from(["Nil", "None"]).map(lambda c: AppExpr(0, head=c)),
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(st.sampled_from(["f", "Some", "If"]), st.lists(sub, min_size=1, max_size=3))
+            .map(lambda ha: AppExpr(0, head=ha[0], args=ha[1])),
+            st.lists(sub, min_size=1, max_size=3).map(lambda es: ListExpr(0, elems=es)),
+            st.lists(sub, min_size=1, max_size=3).map(lambda es: SetExpr(0, elems=es)),
+            st.tuples(st.sampled_from(sorted(BINARY_OPS)), sub, sub)
+            .map(lambda t: _op(*t)),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs())
+def test_printed_expression_reparses_to_the_same_tree(expr):
+    assert equal_modulo_ids(_rhs(h.format_expr(expr)), expr)
 
 
 def _with_datatypes(source, line):
