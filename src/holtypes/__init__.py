@@ -34,9 +34,7 @@ from .types import (
     TypeContext,
     TypeExpr,
     Var,
-    alpha_equivalent,
     apply_subst,
-    erase_counters,
     format_type,
     free_type_vars,
     list_of,

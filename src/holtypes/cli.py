@@ -11,10 +11,9 @@ stdout or the --output file.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .emit import emit_annotated, emit_json, render_cpp_signature
+from .emit import emit_annotated, emit_json, json_array, render_cpp_signature
 from .errors import HolTypesError, RenderError
 from .infer import infer_theory
 from .parser import parse_theory
@@ -54,6 +53,11 @@ def _build_parser():
     return parser
 
 
+# Built once: a parser is a web of reference cycles, and one built per call
+# would leave that garbage to the cyclic collector after every call.
+_PARSER = _build_parser()
+
+
 def _span_index(theory):
     spans = {}
     for e in theory.all_exprs():
@@ -84,7 +88,7 @@ def _write_artifact(text, output):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -119,8 +123,7 @@ def main(argv=None):
             if args.emit == "annotated":
                 artifacts.extend(emit_annotated(ts) for ts in result.typed_specs)
             elif args.emit == "json":
-                docs = [json.loads(emit_json(ts)) for ts in result.typed_specs]
-                artifacts.append(json.dumps(docs, indent=2))
+                artifacts.append(json_array([emit_json(ts) for ts in result.typed_specs]))
             else:
                 artifacts.append(
                     "\n".join(render_cpp_signature(ts.spec) for ts in result.typed_specs)

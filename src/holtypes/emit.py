@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .errors import RenderError
 from .exprs import (
@@ -198,7 +199,46 @@ def emit_json(typed_spec):
             for d in typed_spec.diagnostics
         ],
     }
-    return json.dumps(doc, indent=2)
+    return dump_json(doc)
+
+
+def dump_json(value):
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with
+    string keys, lists and scalars.  The standard library indents through
+    closures that refer to each other, so each of its calls leaves a
+    reference cycle behind; this leaves none."""
+    chunks = []
+    _json_chunks(value, "\n", chunks)
+    return "".join(chunks)
+
+
+def json_array(texts):
+    """``dump_json`` of a list of documents, given the ``dump_json`` text
+    of each: one level deeper, every line is indented two more spaces."""
+    if not texts:
+        return "[]"
+    return "[\n  " + ",\n  ".join(t.replace("\n", "\n  ") for t in texts) + "\n]"
+
+
+def _json_chunks(value, newline, out):
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list)) and value:
+        inner = newline + "  "
+        is_dict = isinstance(value, dict)
+        out.append("{" if is_dict else "[")
+        sep = "," + inner
+        for i, item in enumerate(value.items() if is_dict else value):
+            out.append(sep if i else inner)
+            if is_dict:
+                out.append(encode_basestring_ascii(item[0]) + ": ")
+                item = item[1]
+            _json_chunks(item, inner, out)
+        out.append(newline + ("}" if is_dict else "]"))
+    else:
+        out.append(json.dumps(value))
 
 
 _DEFAULT_HEADS = {
@@ -250,31 +290,34 @@ def render_cpp_type(t, cpp_map=None, var_names=None):
     cpp_map = cpp_map if cpp_map is not None else CppTypeMap()
     names = var_names if var_names is not None else {}
     _collect_vars_in_order(t, names)
+    return _render_cpp(t, cpp_map.heads, names)
 
-    def go(t):
-        if isinstance(t, Var):
-            return names[t]
-        if isinstance(t, Prim):
-            if t.name not in cpp_map.heads:
-                raise RenderError(f"no C++ mapping for primitive {t.name!r}")
-            return cpp_map.heads[t.name]
-        if isinstance(t, Fun):
-            ret = go(t.parts[-1])
-            args = ", ".join(go(p) for p in t.parts[:-1])
-            return f"std::function<{ret}({args})>"
-        if isinstance(t, Tuple):
-            if "tuple" not in cpp_map.heads:
-                raise RenderError("no C++ mapping for tuple types")
-            return cpp_map.heads["tuple"].format(go(t.left), go(t.right))
-        if isinstance(t, Constructed):
-            if t.ctor not in cpp_map.heads:
-                raise RenderError(f"no C++ mapping for type constructor {t.ctor!r}")
-            return cpp_map.heads[t.ctor].format(*(go(a) for a in t.args))
-        if isinstance(t, Bottom):
-            raise RenderError("cannot render the error type")
-        raise RenderError(f"cannot render {t!r}")
 
-    return go(t)
+# Module level rather than a closure inside render_cpp_type: a recursive
+# closure refers to itself and leaves a reference cycle behind each call.
+def _render_cpp(t, heads, names):
+    if isinstance(t, Var):
+        return names[t]
+    if isinstance(t, Prim):
+        if t.name not in heads:
+            raise RenderError(f"no C++ mapping for primitive {t.name!r}")
+        return heads[t.name]
+    if isinstance(t, Fun):
+        ret = _render_cpp(t.parts[-1], heads, names)
+        args = ", ".join(_render_cpp(p, heads, names) for p in t.parts[:-1])
+        return f"std::function<{ret}({args})>"
+    if isinstance(t, Tuple):
+        if "tuple" not in heads:
+            raise RenderError("no C++ mapping for tuple types")
+        return heads["tuple"].format(_render_cpp(t.left, heads, names),
+                                     _render_cpp(t.right, heads, names))
+    if isinstance(t, Constructed):
+        if t.ctor not in heads:
+            raise RenderError(f"no C++ mapping for type constructor {t.ctor!r}")
+        return heads[t.ctor].format(*(_render_cpp(a, heads, names) for a in t.args))
+    if isinstance(t, Bottom):
+        raise RenderError("cannot render the error type")
+    raise RenderError(f"cannot render {t!r}")
 
 
 def render_cpp_signature(spec, cpp_map=None):

@@ -87,6 +87,11 @@ class InferenceSession:
     context, the error list, the lambda placeholder counter, and rule
     tracing.
 
+    Every write to ``ctx.node_types`` goes through ``ctx.set_type``, which
+    indexes each node under the variables its type mentions;
+    ``apply_substitution`` relies on that index to find every node a
+    substitution changes.
+
     ``last_app`` holds the node id and positional types that ``unify_app``
     wrote last.  A lambda's body application writes it as the last step of
     its inference, and ``unify_abs`` reads it before any further
@@ -109,9 +114,16 @@ class InferenceSession:
         self.diagnose(node_id, _kind_for(err), str(err))
 
     def apply_substitution(self, subst):
-        # Rewrite in place: callers hold references to the context across
-        # substitution steps.
-        self.ctx.node_types = {k: apply_subst(subst, t) for k, t in self.ctx.node_types.items()}
+        """Rewrite the nodes whose types mention a domain variable of
+        ``subst``, found through the context's occurrence index.  The
+        result mentions no domain variable, so their entries are dropped
+        until a later ``set_type`` brings one back."""
+        ctx = self.ctx
+        touched = set()
+        for v in subst.bindings:
+            touched.update(ctx.occurrences.pop(v, ()))
+        for k in touched:
+            ctx.set_type(k, apply_subst(subst, ctx.node_types[k]))
 
     def fresh_placeholder(self):
         v = Var(f"{LAMBDA_NAMESPACE}{self.lambda_counter}")

@@ -16,8 +16,7 @@ from .types import (
     Fun,
     TypeExpr,
     Var,
-    apply_subst,
-    SubstitutionSet,
+    apply_bindings,
     format_type,
     free_type_vars,
 )
@@ -108,8 +107,8 @@ class SolverRegistry:
         scheme = self.lookup(name)
         k = self.fresh_counter
         self.fresh_counter += 1
-        sub = SubstitutionSet({v: Var(v.name, k) for v in free_type_vars(scheme.body)})
-        return apply_subst(sub, scheme.body)
+        fresh = {v: Var(v.name, k) for v in free_type_vars(scheme.body)}
+        return apply_bindings(fresh, scheme.body)
 
     def lookup(self, name):
         if name not in self.entries:

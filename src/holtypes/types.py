@@ -204,16 +204,23 @@ class SubstitutionSet:
 
 def apply_subst(s, t):
     """Replace every occurrence of a domain variable of ``s`` in ``t``."""
+    return apply_bindings(s.bindings, t)
+
+
+def apply_bindings(bindings, t):
+    """``apply_subst`` on a plain ``{var: type}`` dict, which is trusted
+    to be idempotent: the unifier's inner loops use it to skip building a
+    validated ``SubstitutionSet`` per step."""
     if isinstance(t, Var):
-        return s.bindings.get(t, t)
+        return bindings.get(t, t)
     if isinstance(t, (Prim, Bottom)):
         return t
     if isinstance(t, Fun):
-        return Fun(tuple(apply_subst(s, p) for p in t.parts))
+        return Fun(tuple(apply_bindings(bindings, p) for p in t.parts))
     if isinstance(t, Tuple):
-        return Tuple(apply_subst(s, t.left), apply_subst(s, t.right))
+        return Tuple(apply_bindings(bindings, t.left), apply_bindings(bindings, t.right))
     if isinstance(t, Constructed):
-        return Constructed(tuple(apply_subst(s, a) for a in t.args), t.ctor)
+        return Constructed(tuple(apply_bindings(bindings, a) for a in t.args), t.ctor)
     raise TypeError(f"not a type expression: {t!r}")
 
 
@@ -223,14 +230,24 @@ class TypeContext:
     Keyed by node id rather than by expression structure: two textual
     occurrences of one variable are distinct nodes linked through scope
     resolution.
+
+    ``occurrences`` maps each type variable to the ids of nodes whose
+    type mentions it, so a substitution can rewrite just those nodes.
+    Invariant: every node whose type mentions ``v`` is indexed under
+    ``v``.  ``set_type`` is the only writer of ``node_types`` and keeps
+    the index; an id may stay indexed under a variable its type no
+    longer mentions, which costs one rewrite that changes nothing.
     """
 
     def __init__(self):
         self.node_types = {}
+        self.occurrences = {}
         self.scopes = [{}]
 
     def set_type(self, node_id, t):
         self.node_types[node_id] = t
+        for v in free_type_vars(t):
+            self.occurrences.setdefault(v, set()).add(node_id)
 
     def type_of(self, node_id):
         return self.node_types.get(node_id)
@@ -283,53 +300,3 @@ def format_type(t):
         inner = ", ".join(format_type(a) for a in t.args)
         return f"({inner}) {t.ctor}"
     raise TypeError(f"not a type expression: {t!r}")
-
-
-def erase_counters(t):
-    """Strip every modification counter, keeping the structure."""
-    if isinstance(t, Var):
-        return Var(t.name)
-    if isinstance(t, (Prim, Bottom)):
-        return t
-    if isinstance(t, Fun):
-        return Fun(tuple(erase_counters(p) for p in t.parts))
-    if isinstance(t, Tuple):
-        return Tuple(erase_counters(t.left), erase_counters(t.right))
-    if isinstance(t, Constructed):
-        return Constructed(tuple(erase_counters(a) for a in t.args), t.ctor)
-    raise TypeError(f"not a type expression: {t!r}")
-
-
-def alpha_equivalent(t, s):
-    """Structural equality up to a consistent renaming of variables."""
-    forward = {}
-    backward = {}
-
-    def go(a, b):
-        if isinstance(a, Var) and isinstance(b, Var):
-            if a in forward:
-                return forward[a] == b
-            if b in backward:
-                return False
-            forward[a] = b
-            backward[b] = a
-            return True
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, (Prim, Bottom)):
-            return a == b
-        if isinstance(a, Fun):
-            return len(a.parts) == len(b.parts) and all(
-                go(x, y) for x, y in zip(a.parts, b.parts)
-            )
-        if isinstance(a, Tuple):
-            return go(a.left, b.left) and go(a.right, b.right)
-        if isinstance(a, Constructed):
-            return (
-                a.ctor == b.ctor
-                and len(a.args) == len(b.args)
-                and all(go(x, y) for x, y in zip(a.args, b.args))
-            )
-        return False
-
-    return go(t, s)

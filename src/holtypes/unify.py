@@ -26,6 +26,7 @@ from .types import (
     SubstitutionSet,
     Tuple,
     Var,
+    apply_bindings,
     apply_subst,
     free_type_vars,
 )
@@ -142,13 +143,17 @@ def _decompose(t, s, facts):
 
 
 class _Solution:
-    """Accumulates variable bindings, kept idempotent throughout."""
+    """Accumulates variable bindings, kept idempotent throughout.
+
+    The bindings are applied unvalidated while they grow; ``freeze``
+    validates the finished set once.
+    """
 
     def __init__(self):
         self.bindings = {}
 
     def resolve(self, t):
-        return apply_subst(SubstitutionSet(self.bindings), t) if self.bindings else t
+        return apply_bindings(self.bindings, t) if self.bindings else t
 
     def absorb(self, a, b):
         """Record that the resolved forms of ``a`` and ``b`` must match."""
@@ -187,9 +192,9 @@ class _Solution:
     def _bind(self, var, t):
         if var in free_type_vars(t):
             raise OccursError(var, t)
-        one = SubstitutionSet({var: t})
+        one = {var: t}
         for v, b in list(self.bindings.items()):
-            nb = apply_subst(one, b)
+            nb = apply_bindings(one, b)
             if v in free_type_vars(nb):
                 raise OccursError(v, nb)
             self.bindings[v] = nb

@@ -77,6 +77,21 @@ CORPUS = {
     "nothing": 'fun nothing :: "nat => \'a set" where "nothing x = {}"',
 }
 
+# Element forms of ``long_equation``, used in turn.
+LONG_ELEMENTS = (
+    "[]", "Nil", "[x]", "Cons x []", "take 1 ys", "drop x ys",
+    "map (%y. y + x) ys", "If (x = 0) [] [x]", "concat [ys, []]",
+)
+
+
+def long_equation(length):
+    """One equation ``lng x ys = [e1, ..., eL]`` whose elements cycle
+    through ``LONG_ELEMENTS``: all of its unification happens in one
+    typing context."""
+    body = ", ".join(LONG_ELEMENTS[i % len(LONG_ELEMENTS)] for i in range(length))
+    return ('fun lng :: "nat => nat list => nat list list" where\n'
+            f'  "lng x ys = [{body}]"\n')
+
 
 def infer_source(source):
     theory = h.parse_theory(source)

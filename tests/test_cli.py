@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -171,3 +172,31 @@ def test_sum_chain_too_deep_to_render_exits_three(theory_file, capsys):
     capsys.readouterr()
     assert main(["annotate", "--emit", "json", path]) == 3
     assert capsys.readouterr().err.endswith("render error: expression nested too deeply\n")
+
+
+def _cyclic_garbage(argv):
+    """Objects one ``main`` call leaves for the cyclic collector.  A call
+    runs first to warm up imports and caches; garbage a call leaves is
+    freed whenever the collector happens to run, so it makes the
+    memory a call holds at its peak depend on what ran before it."""
+    main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("mode", [["check"], ["annotate"], ["annotate", "--emit", "json"],
+                                  ["annotate", "--emit", "cpp-types"]])
+@pytest.mark.parametrize("source", [BS_SPEC, NEGATIVE_SPEC], ids=["clean", "type_error"])
+def test_call_leaves_no_cyclic_garbage(theory_file, capsys, mode, source):
+    assert _cyclic_garbage([*mode, theory_file(source)]) == 0
+
+
+def test_multi_spec_json_leaves_no_cyclic_garbage(theory_file, capsys):
+    source = "\n\n".join([BS_SPEC, PRODUCT_LISTS_SPEC, TEST_SPEC])
+    assert _cyclic_garbage(["annotate", "--emit", "json", theory_file(source)]) == 0
+

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import holtypes as h
-from holtypes.emit import CppTypeMap, annotated_type
+from holtypes.emit import CppTypeMap, annotated_type, dump_json, json_array
 from holtypes.errors import RenderError
 
 from corpus import CORPUS, PRODUCT_LISTS_SPEC, TEST_SPEC, infer_source
@@ -112,6 +113,33 @@ class TestEmitJson:
         doc = json.loads(h.emit_json(result.typed_specs[0]))
         span = doc["equations"][0]["rhs"]["span"]
         assert set(span) == {"line", "column", "end_line", "end_column"}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_matches_the_standard_library(self, value):
+        assert dump_json(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(json_values, max_size=4))
+    def test_array_of_texts_matches_the_array_of_documents(self, docs):
+        assert json_array([dump_json(d) for d in docs]) == json.dumps(docs, indent=2)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus_documents(self, name):
+        _, result = infer_source(CORPUS[name])
+        texts = [h.emit_json(ts) for ts in result.typed_specs]
+        docs = [json.loads(t) for t in texts]
+        assert texts == [json.dumps(d, indent=2) for d in docs]
+        assert json_array(texts) == json.dumps(docs, indent=2)
 
 
 class TestRenderCppType:

@@ -1,10 +1,12 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import holtypes as h
 from holtypes.exprs import AppExpr, LambdaExpr, walk
 from holtypes.infer import InferenceSession, bottom_up, extract_pattern_types, top_down
 from holtypes.parser import BUILTIN_CTOR_NAMES, _ExprParser, _IdAllocator, _TokenStream, tokenize
-from holtypes.types import erase_counters
 from holtypes.unify import compare
 
 from corpus import (
@@ -17,7 +19,10 @@ from corpus import (
     all_diagnostics,
     find_app,
     infer_source,
+    long_equation,
 )
+from conftest import type_exprs
+from type_support import alpha_equivalent, erase_counters
 
 nat = h.Prim("nat")
 a = h.Var("a")
@@ -178,7 +183,7 @@ class TestUnifyAbsExamples:
     def test_two_parameter_lambda_matches_constructor_positions(self):
         sess, e = TestBottomUp().run("%x y. Cons x y")
         t = sess.ctx.type_of(e.node_id)
-        assert h.alpha_equivalent(t, h.parse_type("'q => 'q list => 'q list"))
+        assert alpha_equivalent(t, h.parse_type("'q => 'q list => 'q list"))
         # all three positions share one variable
         v = t.parts[0]
         assert t == h.Fun((v, h.list_of(v), h.list_of(v)))
@@ -406,3 +411,107 @@ class TestApplySubstitution:
         sess.ctx.set_type(1, h.Prim("bool"))
         sess.apply_substitution(h.SubstitutionSet({a: nat}))
         assert sess.ctx.type_of(1) == h.Prim("bool")
+
+    def test_overwritten_node_keeps_a_stale_entry(self):
+        # Node 1 stays indexed under 'a after its type stops mentioning it.
+        sess = fresh_session()
+        sess.ctx.set_type(1, h.list_of(a))
+        sess.ctx.set_type(1, nat)
+        sess.ctx.set_type(2, a)
+        sess.apply_substitution(h.SubstitutionSet({a: h.Prim("bool")}))
+        assert sess.ctx.node_types == {1: nat, 2: h.Prim("bool")}
+
+    def test_bound_variable_reintroduced_later(self):
+        b = h.Var("b")
+        sess = fresh_session()
+        sess.ctx.set_type(1, a)
+        sess.apply_substitution(h.SubstitutionSet({a: h.list_of(b)}))
+        sess.ctx.set_type(2, h.option_of(a))
+        sess.apply_substitution(h.SubstitutionSet({a: nat}))
+        sess.apply_substitution(h.SubstitutionSet({b: h.Prim("bool")}))
+        assert sess.ctx.node_types == {1: h.list_of(h.Prim("bool")), 2: h.option_of(nat)}
+
+
+_INDEX_VARS = (a, h.Var("b"), h.Var("a", 1))
+
+# Types over each subset of the variables, built once: the range of a
+# binding must avoid the substitution's domain.
+_TYPES_OVER = {
+    free: type_exprs(variables=list(free))
+    for n in range(len(_INDEX_VARS) + 1)
+    for free in combinations(_INDEX_VARS, n)
+}
+
+_set_step = st.tuples(st.just("set"), st.integers(0, 3), _TYPES_OVER[_INDEX_VARS])
+
+
+@st.composite
+def _subst_step(draw):
+    domain = draw(st.lists(st.sampled_from(_INDEX_VARS), unique=True, min_size=1))
+    free = _TYPES_OVER[tuple(v for v in _INDEX_VARS if v not in domain)]
+    return ("subst", {v: draw(free) for v in domain})
+
+
+# ``("set", node id, type)`` and ``("subst", bindings)`` steps over three
+# variables and four node ids.
+_context_steps = st.lists(st.one_of(_set_step, _subst_step()), min_size=1, max_size=12)
+
+
+class TestOccurrenceIndex:
+    """``apply_substitution`` through the index agrees with rewriting
+    every node type of the context."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_context_steps)
+    # A node overwritten with a type that no longer mentions 'a.
+    @example([("set", 0, h.list_of(a)), ("set", 0, nat), ("subst", {a: h.Prim("bool")})])
+    # A bound variable brought back by a later set_type.
+    @example([("set", 0, a), ("subst", {a: nat}), ("set", 1, h.list_of(a)),
+              ("subst", {a: h.option_of(h.Var("b"))})])
+    def test_matches_whole_context_rewrite(self, steps):
+        sess = fresh_session()
+        reference = {}
+        for step in steps:
+            if step[0] == "set":
+                _, node_id, t = step
+                sess.ctx.set_type(node_id, t)
+                reference[node_id] = t
+            else:
+                subst = h.SubstitutionSet(step[1])
+                sess.apply_substitution(subst)
+                reference = {k: h.apply_subst(subst, t) for k, t in reference.items()}
+            assert list(sess.ctx.node_types.items()) == list(reference.items())
+            for node_id, t in sess.ctx.node_types.items():
+                for v in h.free_type_vars(t):
+                    assert node_id in sess.ctx.occurrences[v]
+
+
+class TestScaling:
+    def test_long_equation_builds_types_linearly(self, monkeypatch):
+        """Function and constructed types built while inferring one long
+        equation grow linearly with its length (4x the elements, under
+        6x the types), not with the length times the node count."""
+        built = 0
+
+        def count(cls):
+            original = cls.__post_init__
+
+            def post_init(self):
+                nonlocal built
+                built += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+
+        def built_by_inference(length):
+            nonlocal built
+            theory = h.parse_theory(long_equation(length))
+            built = 0
+            result = h.infer_theory(theory)
+            assert not result.diagnostics
+            return built
+
+        count(h.Fun)
+        count(h.Constructed)
+        short, long = built_by_inference(100), built_by_inference(400)
+        assert long / short < 6, (short, long)

@@ -3,9 +3,9 @@ import pytest
 import holtypes as h
 from holtypes.errors import DuplicateNameError, UnknownNameError
 from holtypes.registry import BUILTIN, DATATYPE_DECL, FUNCTION_DECL
-from holtypes.types import erase_counters
 
 from corpus import BS_SPEC, PRODUCT_LISTS_SPEC, TEST_SPEC
+from type_support import erase_counters
 
 
 def test_prelude_contains_required_names(prelude):

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 
 import holtypes as h
-from holtypes.types import erase_counters
 
 from conftest import substitutions, type_exprs
+from type_support import alpha_equivalent, erase_counters
 
 nat = h.Prim("nat")
 bool_ = h.Prim("bool")
@@ -143,5 +143,5 @@ class TestFormatting:
     def test_alpha_equivalence(self):
         t = h.Fun((a, h.list_of(a), b))
         s = h.Fun((h.Var("x", 2), h.list_of(h.Var("x", 2)), h.Var("y")))
-        assert h.alpha_equivalent(t, s)
-        assert not h.alpha_equivalent(t, h.Fun((a, h.list_of(b), b)))
+        assert alpha_equivalent(t, s)
+        assert not alpha_equivalent(t, h.Fun((a, h.list_of(b), b)))
