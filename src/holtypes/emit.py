@@ -285,8 +285,6 @@ def render_cpp_type(t, cpp_map=None, var_names=None):
     first-occurrence order; pass a shared ``var_names`` dict to keep the
     naming consistent across the types of one signature.
     """
-    if isinstance(t, Bottom):
-        raise RenderError("cannot render the error type")
     cpp_map = cpp_map if cpp_map is not None else CppTypeMap()
     names = var_names if var_names is not None else {}
     _collect_vars_in_order(t, names)

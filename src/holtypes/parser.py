@@ -5,17 +5,22 @@ declarations.  Declared types and equations appear inside double-quoted
 strings and are re-lexed with their file position preserved, so
 diagnostics point at the real location.
 
+The lexical rules are defined in one place, the ``_TOKEN_RE`` pattern:
+one named group per token kind, tried in order at each position.  Only
+nested comments need code of their own.
+
 Application by juxtaposition (arguments are atoms) binds tightest; the
 binary operators bind and associate as ``exprs.BINARY_OPS`` and
 ``exprs.RIGHT_ASSOC`` say, parsed by one precedence-climbing loop.
 
 ``if/then/else`` lowers to an application of the builtin ``If``; the
 empty list ``[]`` and empty set ``{}`` lower to the nullary constructors
-``Nil`` and ``EmptySet``.  ``(* ... *)`` comments nest.
+``Nil`` and ``EmptySet``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatchError, DuplicateNameError, ParseError
@@ -56,124 +61,55 @@ class Token:
     column: int
     end_line: int = 0
     end_column: int = 0
-    # For STRING tokens: position of the first content character.
-    content_line: int = 0
-    content_column: int = 0
 
     def span(self):
         return Span(self.line, self.column, self.end_line, self.end_column)
 
 
-def _is_ident_start(ch):
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch):
-    return ch.isalnum() or ch in "_'@"
+# The lexical rules, tried in this order at each position.  ``\w`` is a
+# character for which ``str.isalnum`` holds, or ``_``; ``\d`` is a decimal
+# digit (``str.isdecimal``).  WS and COMMENT produce no token.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<WS>[ \t\r\n]+)",
+    r"(?P<COMMENT>\(\*)",
+    r'(?P<STRING>"[^"]*")',
+    r"(?P<LAMBDA>\\<lambda>|%)",
+    r"(?P<TYVAR>'[^\W\d][\w'@]*)",
+    r"(?P<NUMBER>\d+)",
+    r"(?P<IDENT>[^\W\d][\w'@]*)",
+    "(?P<SYM>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+]))
+_COMMENT_RE = re.compile(r"\(\*|\*\)")
+_NO_MATCH = {'"': "unterminated string", "'": "expected a type variable name after '"}
 
 
 def tokenize(text, line=1, column=1):
     """Lex ``text`` into tokens, starting at the given file position."""
     tokens = []
     i = 0
-    n = len(text)
-
-    def advance_pos(lexeme, ln, col):
-        for ch in lexeme:
-            if ch == "\n":
-                ln += 1
-                col = 1
-            else:
-                col += 1
-        return ln, col
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            line, column = advance_pos(ch, line, column)
-            i += 1
-            continue
-        if text.startswith("(*", i):
-            depth = 1
-            j = i + 2
-            while j < n and depth:
-                if text.startswith("(*", j):
-                    depth += 1
-                    j += 2
-                elif text.startswith("*)", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    j += 1
-            if depth:
+    while i < len(text):
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(line, column, _NO_MATCH.get(text[i], f"unexpected character {text[i]!r}"))
+        kind, j = m.lastgroup, m.end()
+        depth = 1 if kind == "COMMENT" else 0
+        while depth:
+            delim = _COMMENT_RE.search(text, j)
+            if delim is None:
                 raise ParseError(line, column, "unterminated comment")
-            line, column = advance_pos(text[i:j], line, column)
-            i = j
-            continue
-        start_line, start_col = line, column
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise ParseError(line, column, "unterminated string")
-            content = text[i + 1 : j]
-            cl, cc = advance_pos('"', line, column)
-            line, column = advance_pos(text[i : j + 1], line, column)
-            tokens.append(
-                Token("STRING", content, start_line, start_col, line, column,
-                      content_line=cl, content_column=cc)
-            )
-            i = j + 1
-            continue
-        if text.startswith("\\<lambda>", i):
-            lexeme = "\\<lambda>"
-            line, column = advance_pos(lexeme, line, column)
-            tokens.append(Token("LAMBDA", lexeme, start_line, start_col, line, column))
-            i += len(lexeme)
-            continue
-        if ch == "%":
-            line, column = advance_pos(ch, line, column)
-            tokens.append(Token("LAMBDA", "%", start_line, start_col, line, column))
-            i += 1
-            continue
-        if ch == "'":
-            j = i + 1
-            if j >= n or not _is_ident_start(text[j]):
-                raise ParseError(line, column, "expected a type variable name after '")
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            lexeme = text[i:j]
-            line, column = advance_pos(lexeme, line, column)
-            tokens.append(Token("TYVAR", lexeme[1:], start_line, start_col, line, column))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            lexeme = text[i:j]
-            line, column = advance_pos(lexeme, line, column)
-            tokens.append(Token("NUMBER", lexeme, start_line, start_col, line, column))
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            lexeme = text[i:j]
-            line, column = advance_pos(lexeme, line, column)
-            tokens.append(Token("IDENT", lexeme, start_line, start_col, line, column))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                line, column = advance_pos(sym, line, column)
-                tokens.append(Token("SYM", sym, start_line, start_col, line, column))
-                i += len(sym)
-                break
-        else:
-            raise ParseError(line, column, f"unexpected character {ch!r}")
+            depth += 1 if delim.group() == "(*" else -1
+            j = delim.end()
+        newlines = text.count("\n", i, j)
+        end_line = line + newlines
+        end_column = j - text.rindex("\n", i, j) if newlines else column + j - i
+        if kind not in ("WS", "COMMENT"):
+            value = text[i:j]
+            if kind == "STRING":
+                value = value[1:-1]
+            elif kind == "TYVAR":
+                value = value[1:]
+            tokens.append(Token(kind, value, line, column, end_line, end_column))
+        i, line, column = j, end_line, end_column
     tokens.append(Token("EOF", "", line, column, line, column))
     return tokens
 
@@ -213,13 +149,6 @@ class TheoryFile:
                 for p in patterns:
                     yield from walk(p)
                 yield from walk(rhs)
-
-    def all_node_ids(self):
-        """Every node id in the theory, lambda parameter slots included."""
-        for e in self.all_exprs():
-            yield e.node_id
-            if isinstance(e, LambdaExpr):
-                yield from e.param_ids
 
 
 class _TokenStream:
@@ -616,7 +545,7 @@ def _parse_datatype(ts, ids, known_ctors, declared):
             tok = ts.cur
             if tok.kind == "STRING":
                 ts.next()
-                arg_types.append(parse_type(tok.value, tok.content_line, tok.content_column))
+                arg_types.append(parse_type(tok.value, tok.line, tok.column + 1))
             elif tok.kind == "TYVAR":
                 ts.next()
                 arg_types.append(Var(tok.value))
@@ -678,7 +607,7 @@ def _parse_function(ts, ids, known_ctors, declared):
     if type_tok.kind != "STRING":
         raise ParseError(type_tok.line, type_tok.column, "expected a quoted type")
     ts.next()
-    declared_type = parse_type(type_tok.value, type_tok.content_line, type_tok.content_column)
+    declared_type = parse_type(type_tok.value, type_tok.line, type_tok.column + 1)
     _validate_declared_type(declared_type, type_tok)
     if not isinstance(declared_type, Fun):
         raise ParseError(type_tok.line, type_tok.column,
@@ -693,7 +622,7 @@ def _parse_function(ts, ids, known_ctors, declared):
             raise ParseError(eq_tok.line, eq_tok.column, "expected a quoted equation")
         ts.next()
         head, patterns, rhs = _parse_equation(
-            eq_tok.value, eq_tok.content_line, eq_tok.content_column, ids, known_ctors
+            eq_tok.value, eq_tok.line, eq_tok.column + 1, ids, known_ctors
         )
         if head != name:
             raise ParseError(eq_tok.line, eq_tok.column,

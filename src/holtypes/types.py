@@ -40,9 +40,6 @@ class Var(TypeExpr):
     def is_placeholder(self):
         return self.name.startswith(LAMBDA_NAMESPACE)
 
-    def __str__(self):
-        return format_type(self)
-
 
 @dataclass(frozen=True)
 class Prim(TypeExpr):
@@ -51,9 +48,6 @@ class Prim(TypeExpr):
     def __post_init__(self):
         if self.name not in PRIMITIVE_NAMES:
             raise ValueError(f"not a primitive type: {self.name!r}")
-
-    def __str__(self):
-        return format_type(self)
 
 
 def _check_component(t):
@@ -83,9 +77,6 @@ class Fun(TypeExpr):
             _check_component(p)
         object.__setattr__(self, "parts", parts)
 
-    def __str__(self):
-        return format_type(self)
-
 
 @dataclass(frozen=True)
 class Tuple(TypeExpr):
@@ -95,9 +86,6 @@ class Tuple(TypeExpr):
     def __post_init__(self):
         _check_component(self.left)
         _check_component(self.right)
-
-    def __str__(self):
-        return format_type(self)
 
 
 BUILTIN_UNARY_CTORS = ("list", "set", "option")
@@ -117,16 +105,10 @@ class Constructed(TypeExpr):
         for a in self.args:
             _check_component(a)
 
-    def __str__(self):
-        return format_type(self)
-
 
 @dataclass(frozen=True)
 class Bottom(TypeExpr):
     """The error type: marks a node whose type could not be established."""
-
-    def __str__(self):
-        return format_type(self)
 
 
 BOTTOM = Bottom()

@@ -14,6 +14,7 @@ from holtypes.exprs import (
     RIGHT_ASSOC,
     AppExpr,
     ConstExpr,
+    LambdaExpr,
     ListExpr,
     SetExpr,
     VarExpr,
@@ -183,11 +184,19 @@ class TestParseTheory:
         assert h.parse_type("'a#1 list") == h.list_of(h.Var("a", 1))
 
 
+def all_node_ids(theory):
+    """Every node id in the theory, lambda parameter slots included."""
+    for e in theory.all_exprs():
+        yield e.node_id
+        if isinstance(e, LambdaExpr):
+            yield from e.param_ids
+
+
 class TestNodeIds:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_ids_unique_and_dense(self, name):
         theory = h.parse_theory(CORPUS[name])
-        ids = list(theory.all_node_ids())
+        ids = list(all_node_ids(theory))
         assert len(ids) == len(set(ids))
         assert set(ids) == set(range(len(ids)))
 
