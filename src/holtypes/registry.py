@@ -4,11 +4,16 @@ Schemes are stored with their original variables.  Instantiation decorates
 every variable of the scheme with the current value of a monotone counter
 (``'a`` becomes ``'a#k``), so two uses of one scheme can never capture each
 other's variables.
+
+Builtin schemes are parsed once per process and shared read-only, which
+is safe because schemes and types are frozen; each registry copies the
+table and numbers its own instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import DuplicateNameError, UnknownNameError
 from .types import (
@@ -32,15 +37,16 @@ POLYMORPHIC_COMPARISONS = frozenset(["=", "<"])
 class TypeScheme:
     body: TypeExpr
     origin: str  # BUILTIN, DATATYPE_DECL or FUNCTION_DECL
+    variables: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "variables", free_type_vars(self.body))
+        for v in self.variables:
+            if v.counter is not None:
+                raise ValueError(f"schemes never carry counters: {v}")
 
 
-def _scheme(body, origin):
-    for v in free_type_vars(body):
-        if v.counter is not None:
-            raise ValueError(f"schemes never carry counters: {v}")
-    return TypeScheme(body, origin)
-
-
+@cache
 def _prelude():
     from .parser import parse_type
 
@@ -65,7 +71,7 @@ def _prelude():
         "=": "'a => 'a => bool",
         "<": "'a => 'a => bool",
     }
-    return {name: _scheme(parse_type(text), BUILTIN) for name, text in table.items()}
+    return {name: TypeScheme(parse_type(text), BUILTIN) for name, text in table.items()}
 
 
 class SolverRegistry:
@@ -85,7 +91,7 @@ class SolverRegistry:
     def register(self, name, body, origin):
         if name in self.entries:
             raise DuplicateNameError(name)
-        self.entries[name] = _scheme(body, origin)
+        self.entries[name] = TypeScheme(body, origin)
 
     def register_datatype(self, decl):
         """Register every constructor of a datatype declaration."""
@@ -103,12 +109,14 @@ class SolverRegistry:
         self.register(spec.name, spec.declared_type, FUNCTION_DECL)
 
     def instantiate(self, name):
-        """The scheme body with every variable decorated by a fresh counter."""
+        """The scheme body with every variable decorated by a fresh counter;
+        the counter advances even when the scheme has no variables."""
         scheme = self.lookup(name)
         k = self.fresh_counter
         self.fresh_counter += 1
-        fresh = {v: Var(v.name, k) for v in free_type_vars(scheme.body)}
-        return apply_bindings(fresh, scheme.body)
+        if not scheme.variables:
+            return scheme.body
+        return apply_bindings({v: Var(v.name, k) for v in scheme.variables}, scheme.body)
 
     def lookup(self, name):
         if name not in self.entries:

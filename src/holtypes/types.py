@@ -174,15 +174,6 @@ class SubstitutionSet:
     def __bool__(self):
         return bool(self.bindings)
 
-    def __contains__(self, var):
-        return var in self.bindings
-
-    def get(self, var):
-        return self.bindings.get(var)
-
-    def items(self):
-        return self.bindings.items()
-
 
 def apply_subst(s, t):
     """Replace every occurrence of a domain variable of ``s`` in ``t``."""

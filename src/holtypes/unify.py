@@ -186,7 +186,7 @@ class _Solution:
             merged = _solve(t1, t2)
         except UnificationError:
             raise ConflictError(var, t1, t2) from None
-        for v2, t2_ in merged.items():
+        for v2, t2_ in merged.bindings.items():
             self.absorb(v2, t2_)
 
     def _bind(self, var, t):

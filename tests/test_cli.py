@@ -4,8 +4,9 @@ import json
 import pytest
 
 from holtypes.cli import main
+from holtypes.registry import SolverRegistry
 
-from corpus import BS_SPEC, NEGATIVE_SPEC, PRODUCT_LISTS_SPEC, TEST_SPEC
+from corpus import BS_SPEC, CORPUS, NEGATIVE_SPEC, PRODUCT_LISTS_SPEC, TEST_SPEC
 
 
 @pytest.fixture
@@ -200,3 +201,37 @@ def test_multi_spec_json_leaves_no_cyclic_garbage(theory_file, capsys):
     source = "\n\n".join([BS_SPEC, PRODUCT_LISTS_SPEC, TEST_SPEC])
     assert _cyclic_garbage(["annotate", "--emit", "json", theory_file(source)]) == 0
 
+
+
+@pytest.mark.parametrize("mode", [["check", "--trace"], ["check", "--dump-sigma"],
+                                  ["annotate", "--emit", "json"]])
+def test_calls_in_one_process_do_not_leak_into_each_other(theory_file, capsys, monkeypatch,
+                                                          mode):
+    """Theory A, then a theory B with its own datatype and functions, then
+    A again: the registries share only the prelude, so A's output repeats."""
+    registries = []
+    build = SolverRegistry.with_prelude.__func__
+
+    def recording(cls):
+        registry = build(cls)
+        registries.append((registry, registry.fresh_counter, set(registry.entries)))
+        return registry
+
+    monkeypatch.setattr(SolverRegistry, "with_prelude", classmethod(recording))
+    a = theory_file(CORPUS["bs"], "a.thy")
+    b = theory_file(CORPUS["tsize"] + "\n" + CORPUS["quad"], "b.thy")
+    runs = []
+    for path in (a, b, a):
+        code = main([*mode, path])
+        out, err = capsys.readouterr()
+        runs.append((code, out, err))
+    assert runs[0] == runs[2]
+    assert runs[1] != runs[0]
+    assert len(registries) == 3
+    prelude_names = registries[0][2]
+    for registry, counter_at_start, names_at_start in registries:
+        assert counter_at_start == 0
+        assert names_at_start == prelude_names
+    b_names = set(registries[1][0].entries) - prelude_names
+    assert {"Leaf", "Node", "tsize", "twice", "quad"} <= b_names
+    assert not b_names & set(registries[2][0].entries)

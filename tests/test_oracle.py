@@ -35,7 +35,7 @@ def test_independent_relation_matches_engine_on_small_pairs():
 
 def test_simple_success():
     out = oracle_unify(h.list_of(a), h.list_of(nat))
-    assert dict(out.items()) == {a: nat}
+    assert out.bindings == {a: nat}
 
 
 def test_primitive_clash_fails():

@@ -1,10 +1,11 @@
 import pytest
 
 import holtypes as h
+from holtypes import parser
 from holtypes.errors import DuplicateNameError, UnknownNameError
-from holtypes.registry import BUILTIN, DATATYPE_DECL, FUNCTION_DECL
+from holtypes.registry import BUILTIN, DATATYPE_DECL, FUNCTION_DECL, SolverRegistry, TypeScheme
 
-from corpus import BS_SPEC, PRODUCT_LISTS_SPEC, TEST_SPEC
+from corpus import BS_SPEC, CORPUS, PRODUCT_LISTS_SPEC, TEST_SPEC
 from type_support import erase_counters
 
 
@@ -94,6 +95,13 @@ class TestInstantiate:
     def test_no_variables_no_visible_change(self, prelude):
         assert prelude.instantiate("+") == h.parse_type("nat => nat => nat")
 
+    def test_variable_free_body_is_shared_and_still_takes_a_counter(self, prelude):
+        k = prelude.fresh_counter
+        assert prelude.instantiate("+") is prelude.lookup("+").body
+        assert prelude.fresh_counter == k + 1
+        (v,) = {v.counter for v in h.free_type_vars(prelude.instantiate("Nil"))}
+        assert v == k + 1
+
 
 class TestLookupUnmodified:
     def test_function_scheme_verbatim(self, prelude):
@@ -120,3 +128,48 @@ def test_dump_lists_entries(prelude):
     lines = prelude.dump()
     assert "Cons :: 'a => 'a list => 'a list" in lines
     assert lines == sorted(lines)
+
+
+class TestSharedPrelude:
+    def test_prelude_is_parsed_once_per_process(self, monkeypatch):
+        SolverRegistry.with_prelude()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the prelude was parsed again")
+
+        monkeypatch.setattr(parser, "parse_type", refuse)
+        registry = SolverRegistry.with_prelude()
+        assert registry.fresh_counter == 0
+        assert registry.lookup("map").origin == BUILTIN
+
+    def test_registries_do_not_share_their_tables(self):
+        first = SolverRegistry.with_prelude()
+        first.register("extra", h.Prim("nat"), FUNCTION_DECL)
+        first.instantiate("map")
+        second = SolverRegistry.with_prelude()
+        assert "extra" not in second
+        assert second.fresh_counter == 0
+        assert second.entries == SolverRegistry.with_prelude().entries
+
+    def test_prelude_scheme_variables(self, prelude):
+        for scheme in prelude.entries.values():
+            assert scheme.variables == h.free_type_vars(scheme.body)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_declared_scheme_variables(self, name):
+        theory = h.parse_theory(CORPUS[name])
+        registry = SolverRegistry()
+        for decl in theory.datatypes:
+            registry.register_datatype(decl)
+        for spec in theory.functions:
+            registry.register_function(spec)
+        assert registry.entries
+        for scheme in registry.entries.values():
+            assert scheme.variables == h.free_type_vars(scheme.body)
+
+    def test_schemes_reject_counters(self, prelude):
+        with pytest.raises(ValueError, match="never carry counters"):
+            TypeScheme(h.list_of(h.Var("a", 1)), BUILTIN)
+        with pytest.raises(ValueError, match="never carry counters"):
+            prelude.register("bad", h.Var("a", 1), FUNCTION_DECL)
+        assert "bad" not in prelude

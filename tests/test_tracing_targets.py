@@ -1,10 +1,11 @@
-"""Every pipeline function the benchmark's tracer wraps still exists.
+"""Every pipeline function the benchmark's tracer wraps still exists and
+fires on the corpus.
 
 ``bench/tracing.py`` records a target it cannot find as absent and drops
 that layer from the per-layer metrics without failing, so a refactor that
 renames or deletes a traced function must fail here instead.  The tracer
 is imported from the ``bench`` directory as is; ``prepare`` only builds
-the wrappers, it installs none.
+the wrappers, ``install`` puts them in place.
 """
 
 import sys
@@ -12,8 +13,36 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from tracing import Tracer  # noqa: E402
+from workloads import CORPUS_MODES  # noqa: E402
+
+from holtypes import cli  # noqa: E402
+
+from corpus import CORPUS  # noqa: E402
 
 
 def test_every_trace_target_is_present():
     tracer = Tracer().prepare()
     assert tracer.absent == []
+
+
+def test_traced_corpus_fires_every_wrapper_and_parses_no_prelude(tmp_path, capsys):
+    paths = []
+    for name, source in CORPUS.items():
+        path = tmp_path / f"{name}.thy"
+        path.write_text(source, encoding="utf-8")
+        paths.append(str(path))
+    cli.main(["check", paths[0]])  # warm-up: the prelude is built here
+    tracer = Tracer().prepare()
+    ops = 0
+    tracer.install()
+    try:
+        for path in paths:
+            for mode in CORPUS_MODES:
+                cli.main([*mode, path])
+                ops += 1
+    finally:
+        tracer.uninstall()
+    _, counts = tracer.end_op()
+    assert tracer.labels - tracer.fired == set()
+    assert counts["registry.prelude_calls"] == ops
+    assert counts["registry.parse_type_calls"] == 0

@@ -64,11 +64,11 @@ class TestCompare:
 class TestReduce:
     def test_variable_against_primitive_list(self):
         s = reduce(h.list_of(a), h.list_of(nat))
-        assert dict(s.items()) == {a: nat}
+        assert s.bindings == {a: nat}
 
     def test_function_decomposition(self):
         s = reduce(h.Fun((a, b)), h.Fun((nat, bool_)))
-        assert dict(s.items()) == {a: nat, b: bool_}
+        assert s.bindings == {a: nat, b: bool_}
 
     def test_conflicting_bindings(self):
         with pytest.raises(ConflictError) as exc:
@@ -78,7 +78,7 @@ class TestReduce:
 
     def test_counter_variable_binds_to_plain(self):
         s = reduce(h.list_of(h.list_of(h.Var("a", 1))), h.list_of(h.list_of(a)))
-        assert dict(s.items()) == {h.Var("a", 1): a}
+        assert s.bindings == {h.Var("a", 1): a}
 
     def test_occurs_rejection(self):
         with pytest.raises(OccursError):
@@ -97,12 +97,12 @@ class TestReduce:
         t = h.Fun((a, a))
         s = h.Fun((h.list_of(b), h.list_of(nat)))
         out = reduce(t, s)
-        assert dict(out.items()) == {a: h.list_of(nat), b: nat}
+        assert out.bindings == {a: h.list_of(nat), b: nat}
 
     def test_flipped_fact_after_substitution(self):
         # 'a := nat first, then the pending 'a >= 'b fact must bind 'b.
         out = reduce(h.Fun((a, a)), h.Fun((nat, b)))
-        assert dict(out.items()) == {a: nat, b: nat}
+        assert out.bindings == {a: nat, b: nat}
 
     def test_identity_pair(self):
         assert not reduce(a, a)
@@ -113,11 +113,11 @@ class TestReduce:
     def test_lambda_placeholder_gives_way_to_scheme_variable(self):
         lam = h.Var("lambda@0")
         out = reduce(lam, h.Var("q", 4))
-        assert dict(out.items()) == {lam: h.Var("q", 4)}
+        assert out.bindings == {lam: h.Var("q", 4)}
 
     def test_plain_variable_survives_counter_variable(self):
         out = reduce(a, h.Var("a", 3))
-        assert dict(out.items()) == {h.Var("a", 3): a}
+        assert out.bindings == {h.Var("a", 3): a}
 
     def test_curried_tail_groups_inside_solver(self):
         # Canonical flattening makes these equal under w2 := nat => bool.
@@ -148,5 +148,5 @@ class TestSoundness:
             out = reduce(t, s)
         except UnificationError:
             return
-        for var, bound in out.items():
+        for var, bound in out.bindings.items():
             assert var not in h.free_type_vars(bound)
