@@ -43,7 +43,7 @@ from .types import (
 )
 from .parser import DatatypeDecl, FunctionSpec, TheoryFile, parse_theory, parse_type
 from .registry import SolverRegistry, TypeScheme
-from .unify import Relation, compare, reduce, unify_abs, unify_app
+from .unify import Relation, compare, reduce, relate, unify_abs, unify_app
 from .infer import (
     Diagnostic,
     InferenceResult,

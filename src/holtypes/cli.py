@@ -58,23 +58,14 @@ def _build_parser():
 _PARSER = _build_parser()
 
 
-def _span_index(theory):
-    spans = {}
-    for e in theory.all_exprs():
-        spans[e.node_id] = e.span
-    return spans
-
-
 def _print_diagnostics(path, theory, result):
-    spans = _span_index(theory)
-    count = 0
-    for ts in result.typed_specs:
-        for d in ts.diagnostics:
-            span = spans.get(d.node_id)
-            where = f"{span.line}:{span.column}" if span else "?"
-            print(f"{path}:{where}: {d.kind}: {d.message}", file=sys.stderr)
-            count += 1
-    return count
+    diagnostics = result.diagnostics
+    spans = {e.node_id: e.span for e in theory.all_exprs()} if diagnostics else {}
+    for d in diagnostics:
+        span = spans.get(d.node_id)
+        where = f"{span.line}:{span.column}" if span else "?"
+        print(f"{path}:{where}: {d.kind}: {d.message}", file=sys.stderr)
+    return len(diagnostics)
 
 
 def _write_artifact(text, output):

@@ -1,8 +1,8 @@
 """Expression nodes of the abstract syntax tree.
 
-Every node carries a unique integer id and a type slot that the
-inference pipeline fills in (the "improved" AST).  Nodes are otherwise
-immutable by convention.
+Every node carries a unique integer id and a source span.  Nodes are
+immutable by convention: inference keeps node types by id in
+``TypedSpec.node_types`` and leaves the tree unchanged.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class Span:
 class Expr:
     node_id: int
     span: Span = field(default_factory=lambda: Span(0, 0, 0, 0), repr=False)
-    type_slot: object = field(default=None, repr=False)
 
     @property
     def kind(self):
@@ -116,7 +115,7 @@ def walk(e):
 
 
 def equal_modulo_ids(a, b):
-    """Structural equality ignoring node ids, spans, and type slots."""
+    """Structural equality ignoring node ids and spans."""
     if type(a) is not type(b):
         return False
     if isinstance(a, ConstExpr):

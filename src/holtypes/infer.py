@@ -44,7 +44,7 @@ from .types import (
     list_of,
     set_of,
 )
-from .unify import Relation, compare, reduce, unify_abs, unify_app
+from .unify import Relation, compare, relate, unify_abs, unify_app
 
 MISMATCH = "mismatch"
 OCCURS = "occurs"
@@ -91,11 +91,6 @@ class InferenceSession:
     indexes each node under the variables its type mentions;
     ``apply_substitution`` relies on that index to find every node a
     substitution changes.
-
-    ``last_app`` holds the node id and positional types that ``unify_app``
-    wrote last.  A lambda's body application writes it as the last step of
-    its inference, and ``unify_abs`` reads it before any further
-    substitution, so it never needs rewriting.
     """
 
     def __init__(self, registry, trace=False):
@@ -105,10 +100,14 @@ class InferenceSession:
         self.lambda_counter = 0
         self.trace: list[str] | None = [] if trace else None
         self.td_replacements: list[tuple[int, object, object]] = []
-        self.last_app: tuple[int | None, list] = (None, [])
 
     def diagnose(self, node_id, kind, message):
         self.errors.append(Diagnostic(node_id, kind, message))
+
+    def fail(self, node_id, kind, message):
+        """Flag a node and degrade it to the error type."""
+        self.diagnose(node_id, kind, message)
+        self.ctx.set_type(node_id, BOTTOM)
 
     def diagnose_unification(self, node_id, err):
         self.diagnose(node_id, _kind_for(err), str(err))
@@ -174,14 +173,10 @@ def extract_pattern_types(sess, pattern):
             ret = inst.parts[-1]
         else:
             ret = inst
-        subst = None
-        for left, right in ((ret, expected), (expected, ret)):
-            if compare(left, right).holds():
-                try:
-                    subst = reduce(left, right)
-                    break
-                except UnificationError:
-                    continue
+        try:
+            subst = relate(ret, expected)
+        except UnificationError:
+            subst = None
         if subst is None:
             sess.diagnose(pattern.node_id, MISMATCH,
                           f"pattern {pattern.head!r} has type {ret}, expected {expected}")
@@ -208,9 +203,8 @@ def extract_pattern_types(sess, pattern):
             sess.trace_rule(rule, elem.node_id, None, elem_type)
             extract_pattern_types(sess, elem)
         return
-    ctx.set_type(pattern.node_id, BOTTOM)
-    sess.diagnose(pattern.node_id, UNSUPPORTED,
-                  f"{pattern.kind} is not valid in a pattern")
+    sess.fail(pattern.node_id, UNSUPPORTED,
+              f"{pattern.kind} is not valid in a pattern")
 
 
 def _unify_against(sess, node, target_of):
@@ -222,24 +216,23 @@ def _unify_against(sess, node, target_of):
         return
     if sigma == tau:
         return
-    for left, right in ((sigma, tau), (tau, sigma)):
-        if compare(left, right).holds():
-            try:
-                subst = reduce(left, right)
-            except UnificationError as err:
-                sess.diagnose_unification(node.node_id, err)
-                sess.ctx.set_type(node.node_id, BOTTOM)
-                return
-            sess.apply_substitution(subst)
-            return
-    sess.diagnose(node.node_id, MISMATCH,
+    try:
+        subst = relate(sigma, tau)
+    except UnificationError as err:
+        sess.diagnose_unification(node.node_id, err)
+        sess.ctx.set_type(node.node_id, BOTTOM)
+        return
+    if subst is None:
+        sess.fail(node.node_id, MISMATCH,
                   f"type {sigma} does not agree with {tau}")
-    sess.ctx.set_type(node.node_id, BOTTOM)
+        return
+    sess.apply_substitution(subst)
 
 
 def bottom_up(sess, e):
     """Infer the type of ``e`` from its sub-expressions, unifying the
-    inferred and positional types of applications and lambdas."""
+    inferred and positional types of applications and lambdas.  Returns
+    ``unify_app``'s result for an application that reaches it, else None."""
     ctx = sess.ctx
 
     if isinstance(e, AppExpr):
@@ -253,9 +246,8 @@ def bottom_up(sess, e):
         elif e.head in sess.registry:
             head_type = sess.registry.instantiate(e.head)
         else:
-            sess.diagnose(e.node_id, UNKNOWN_NAME,
-                          f"unknown function or constructor: {e.head!r}")
-            ctx.set_type(e.node_id, BOTTOM)
+            sess.fail(e.node_id, UNKNOWN_NAME,
+                      f"unknown function or constructor: {e.head!r}")
             return
         if isinstance(head_type, Bottom) or any(
             isinstance(ctx.type_of(a.node_id), Bottom) for a in e.args
@@ -268,14 +260,12 @@ def bottom_up(sess, e):
             return
         n_args = len(e.args)
         if not isinstance(head_type, Fun):
-            sess.diagnose(e.node_id, MISMATCH,
-                          f"{e.head!r} of type {head_type} is applied to arguments")
-            ctx.set_type(e.node_id, BOTTOM)
+            sess.fail(e.node_id, MISMATCH,
+                      f"{e.head!r} of type {head_type} is applied to arguments")
             return
         if n_args > len(head_type.parts) - 1:
-            sess.diagnose(e.node_id, MISMATCH,
-                          f"{e.head!r} takes {len(head_type.parts) - 1} argument(s), got {n_args}")
-            ctx.set_type(e.node_id, BOTTOM)
+            sess.fail(e.node_id, MISMATCH,
+                      f"{e.head!r} takes {len(head_type.parts) - 1} argument(s), got {n_args}")
             return
         if n_args == len(head_type.parts) - 1:
             result = head_type.parts[-1]
@@ -285,8 +275,7 @@ def bottom_up(sess, e):
             rule = "Currying"
         ctx.set_type(e.node_id, result)
         sess.trace_rule(rule, e.node_id, None, result)
-        unify_app(sess, e, head_type)
-        return
+        return unify_app(sess, e, head_type)
 
     if isinstance(e, (ListExpr, SetExpr)):
         make = list_of if isinstance(e, ListExpr) else set_of
@@ -343,7 +332,7 @@ def bottom_up(sess, e):
             placeholder = sess.fresh_placeholder()
             ctx.set_type(pid, placeholder)
             ctx.bind(name, pid)
-        bottom_up(sess, e.body)
+        positions = bottom_up(sess, e.body)
         param_types = [ctx.type_of(pid) for pid in e.param_ids]
         body_type = ctx.type_of(e.body.node_id)
         ctx.pop_scope()
@@ -352,7 +341,7 @@ def bottom_up(sess, e):
             return
         ctx.set_type(e.node_id, Fun(tuple(param_types) + (body_type,)))
         sess.trace_rule("Abs-BU", e.node_id, None, ctx.type_of(e.node_id))
-        unify_abs(sess, e)
+        unify_abs(sess, e, positions)
         return
 
     if isinstance(e, VarExpr):
@@ -365,8 +354,7 @@ def bottom_up(sess, e):
             ctx.set_type(e.node_id, t)
             sess.trace_rule("Exp-BU", e.node_id, None, t)
         else:
-            sess.diagnose(e.node_id, UNKNOWN_NAME, f"unbound name: {e.name!r}")
-            ctx.set_type(e.node_id, BOTTOM)
+            sess.fail(e.node_id, UNKNOWN_NAME, f"unbound name: {e.name!r}")
         return
 
     if isinstance(e, ConstExpr):
@@ -375,8 +363,7 @@ def bottom_up(sess, e):
         sess.trace_rule("Const-BU", e.node_id, None, t)
         return
 
-    ctx.set_type(e.node_id, BOTTOM)
-    sess.diagnose(e.node_id, UNSUPPORTED, f"cannot infer a type for {e.kind}")
+    sess.fail(e.node_id, UNSUPPORTED, f"cannot infer a type for {e.kind}")
 
 
 def _td_replace(sess, node, new, rule, strict):
@@ -415,12 +402,10 @@ def top_down(sess, e):
             parts = inst.parts if isinstance(inst, Fun) else (inst,)
             if len(parts) - 1 >= len(e.args):
                 ret = parts[-1] if len(e.args) == len(parts) - 1 else Fun(parts[len(e.args):])
-                subst = None
-                if compare(ret, t_e).holds():
-                    try:
-                        subst = reduce(ret, t_e)
-                    except UnificationError:
-                        subst = None
+                try:
+                    subst = relate(ret, t_e, both=False)
+                except UnificationError:
+                    subst = None
                 for i, arg in enumerate(e.args):
                     if subst is not None:
                         _td_replace(sess, arg, apply_subst(subst, parts[i]),
@@ -455,8 +440,7 @@ def top_down(sess, e):
     if isinstance(e, (LambdaExpr, VarExpr, ConstExpr)):
         return
 
-    ctx.set_type(e.node_id, BOTTOM)
-    sess.diagnose(e.node_id, UNSUPPORTED, f"cannot complete a type for {e.kind}")
+    sess.fail(e.node_id, UNSUPPORTED, f"cannot complete a type for {e.kind}")
 
 
 def _seed_return_type(sess, rhs, declared_ret):
@@ -466,20 +450,19 @@ def _seed_return_type(sess, rhs, declared_ret):
     cur = ctx.type_of(rhs.node_id)
     if cur is None or isinstance(cur, Bottom):
         return
-    if compare(cur, declared_ret).holds():
-        try:
-            subst = reduce(cur, declared_ret)
-        except UnificationError as err:
-            sess.diagnose_unification(rhs.node_id, err)
-            ctx.set_type(rhs.node_id, BOTTOM)
-            return
-        if subst:
-            sess.apply_substitution(subst)
-        _td_replace(sess, rhs, declared_ret, "TD-Seed", strict=False)
+    try:
+        subst = relate(cur, declared_ret, both=False)
+    except UnificationError as err:
+        sess.diagnose_unification(rhs.node_id, err)
+        ctx.set_type(rhs.node_id, BOTTOM)
         return
-    sess.diagnose(rhs.node_id, MISMATCH,
+    if subst is None:
+        sess.fail(rhs.node_id, MISMATCH,
                   f"right-hand side has type {cur}, declared return type is {declared_ret}")
-    ctx.set_type(rhs.node_id, BOTTOM)
+        return
+    if subst:
+        sess.apply_substitution(subst)
+    _td_replace(sess, rhs, declared_ret, "TD-Seed", strict=False)
 
 
 def infer_spec(sess, f):
@@ -498,8 +481,7 @@ def infer_spec(sess, f):
         top_down(sess, rhs)
         for root in (*patterns, rhs):
             for node in walk(root):
-                t = ctx.type_of(node.node_id) or BOTTOM
-                node_types[node.node_id] = node.type_slot = t
+                node_types[node.node_id] = ctx.type_of(node.node_id) or BOTTOM
                 if isinstance(node, LambdaExpr):
                     for pid in node.param_ids:
                         node_types[pid] = ctx.type_of(pid) or BOTTOM

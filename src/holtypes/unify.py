@@ -9,6 +9,10 @@ variable is more abstract than any type it does not occur in.
 ``var := type`` and solves them into one idempotent substitution set.
 When two facts bind the same variable to different types, the bindings
 are reconciled by a recursive reduction before giving up.
+
+``relate`` is the pipeline's one way from a relation to a substitution:
+it reduces in the first direction that holds, and each caller decides
+what a failure means.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def _decompose(t, s, facts):
         facts.append((t, s))
         return
     if isinstance(s, Var):
-        # Only reachable through rebinding; the initial relation never
+        # Only reachable through reconciliation; the initial relation never
         # puts a bare variable on the concrete side alone.
         facts.append((s, t))
         return
@@ -155,31 +159,24 @@ class _Solution:
     def resolve(self, t):
         return apply_bindings(self.bindings, t) if self.bindings else t
 
-    def absorb(self, a, b):
-        """Record that the resolved forms of ``a`` and ``b`` must match."""
-        ra = self.resolve(a)
-        rb = self.resolve(b)
-        if ra == rb:
+    def absorb(self, var, t):
+        """Record that the resolved forms of ``var`` and ``t`` must match."""
+        rv = self.resolve(var)
+        rt = self.resolve(t)
+        if rv == rt:
             return
-        if isinstance(ra, Var) and isinstance(rb, Var):
-            if _bind_priority(rb) > _bind_priority(ra):
-                ra, rb = rb, ra
-            self._bind(ra, rb)
-        elif isinstance(ra, Var):
-            self._bind(ra, rb)
-        elif isinstance(rb, Var):
-            self._bind(rb, ra)
-        elif isinstance(a, Var) and a in self.bindings:
+        if isinstance(rv, Var) and isinstance(rt, Var):
+            if _bind_priority(rt) > _bind_priority(rv):
+                rv, rt = rt, rv
+            self._bind(rv, rt)
+        elif isinstance(rv, Var):
+            self._bind(rv, rt)
+        elif isinstance(rt, Var):
+            self._bind(rt, rv)
+        else:
             # The variable already resolved to a different type: the two
             # bindings must themselves reconcile.
-            self._reconcile(a, ra, rb)
-        elif isinstance(b, Var) and b in self.bindings:
-            self._reconcile(b, rb, ra)
-        else:
-            facts = []
-            _decompose(ra, rb, facts)
-            for x, y in facts:
-                self.absorb(x, y)
+            self._reconcile(var, rv, rt)
 
     def _reconcile(self, var, t1, t2):
         try:
@@ -232,13 +229,26 @@ def reduce(t, s):
     return _solve(t, s)
 
 
+def relate(t, s, both=True):
+    """Reduce ``t >= s`` if it holds, else, with ``both``, ``s >= t`` if
+    that holds; ``None`` when neither does.  A failed reduction raises
+    ``UnificationError``.  ``compare`` and ``reduce`` are read as module
+    globals on each call, so wrappers rebound over them see these calls."""
+    if compare(t, s).holds():
+        return reduce(t, s)
+    if both and compare(s, t).holds():
+        return reduce(s, t)
+    return None
+
+
 def unify_app(sess, e, head_type):
     """Unify the inferred argument types of an application against the
     positional types of its head, rewriting the context after each step.
+    Returns the positional types with every substitution applied.
 
-    Per argument: if the inferred type is more abstract than the
-    positional one, reduce in that direction; otherwise try the other
-    direction; otherwise flag the argument and move on.
+    Per argument: relate the inferred and the positional type in either
+    direction; when they do not relate, or the reduction fails, flag the
+    argument and move on.
     """
     parts = list(head_type.parts)
     for i, arg in enumerate(e.args):
@@ -246,42 +256,36 @@ def unify_app(sess, e, head_type):
         tau = parts[i]
         if sigma is None or isinstance(sigma, Bottom):
             continue
-        if compare(sigma, tau).holds():
-            left, right = sigma, tau
-        elif compare(tau, sigma).holds():
-            left, right = tau, sigma
-        else:
-            sess.diagnose(arg.node_id, "mismatch",
-                          f"argument {i + 1} of {e.head!r}: {sigma} does not fit {tau}")
-            sess.ctx.set_type(arg.node_id, BOTTOM)
-            continue
         try:
-            subst = reduce(left, right)
+            subst = relate(sigma, tau)
         except UnificationError as err:
             sess.diagnose_unification(arg.node_id, err)
             sess.ctx.set_type(arg.node_id, BOTTOM)
+            continue
+        if subst is None:
+            sess.fail(arg.node_id, "mismatch",
+                      f"argument {i + 1} of {e.head!r}: {sigma} does not fit {tau}")
             continue
         if subst:
             before = sess.ctx.type_of(e.node_id)
             sess.apply_substitution(subst)
             parts = [apply_subst(subst, p) for p in parts]
             sess.trace_rule("Uni-App", e.node_id, before, sess.ctx.type_of(e.node_id))
-    sess.last_app = (e.node_id, parts)
+    return parts
 
 
-def unify_abs(sess, e):
+def unify_abs(sess, e, positions):
     """Unify a lambda with its body: a parameter that appears directly as
     an argument of the body application takes that position's type, and
     the lambda's function type is rebuilt accordingly.
 
-    The positions come from ``sess.last_app``, written last by the body's
-    ``unify_app`` with no substitution since.  Another node's id there
-    means the body is no application with arguments, or failed first.
+    ``positions`` is what ``unify_app`` returned for the body, with no
+    substitution since; ``None`` means the body is no application with
+    arguments, or failed first.
     """
-    body = e.body
-    app_id, positions = sess.last_app
-    if app_id != body.node_id:
+    if positions is None:
         return
+    body = e.body
     changed = False
     for i, arg in enumerate(body.args):
         if i >= len(positions) - 1 or not isinstance(arg, VarExpr):

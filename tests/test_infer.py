@@ -1,3 +1,4 @@
+import copy
 from itertools import combinations
 
 import pytest
@@ -319,8 +320,19 @@ class TestInferSpec:
 
     def test_type_slots_populated(self):
         theory, result = infer_source(TEST_SPEC)
+        ts = result.typed_specs[0]
         for node in theory.all_exprs():
-            assert node.type_slot is not None
+            assert ts.type_of(node.node_id) is not None
+
+    @pytest.mark.parametrize("name", sorted(CORPUS) + ["negative"])
+    def test_inference_leaves_the_parse_unchanged(self, name):
+        theory = h.parse_theory(NEGATIVE_SPEC if name == "negative" else CORPUS[name])
+        before = copy.deepcopy(theory)
+        first = h.infer_theory(theory, trace=True)
+        assert theory == before
+        second = h.infer_theory(theory, trace=True)
+        assert second.typed_specs == first.typed_specs
+        assert second.session.trace == first.session.trace
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_corpus_is_clean(self, name):
@@ -381,7 +393,6 @@ class TestInferSpec:
         (first_pats, first_rhs), (second_pats, _) = theory.functions[0].equations
         assert ts.type_of(first_pats[0].node_id) == a
         assert ts.type_of(first_rhs.node_id) == a
-        assert first_pats[0].type_slot == a and first_rhs.type_slot == a
         assert ts.type_of(second_pats[0].node_id) == nat
 
     def test_trace_lines_have_rule_format(self):

@@ -1,13 +1,17 @@
 """Every pipeline function the benchmark's tracer wraps still exists and
-fires on the corpus.
+fires on the corpus, and tracing leaves every op's output unchanged.
 
 ``bench/tracing.py`` records a target it cannot find as absent and drops
 that layer from the per-layer metrics without failing, so a refactor that
 renames or deletes a traced function must fail here instead.  The tracer
 is imported from the ``bench`` directory as is; ``prepare`` only builds
-the wrappers, ``install`` puts them in place.
+the wrappers, ``install`` puts them in place.  Like the benchmark, the
+corpus test runs every op traced and then untraced and compares the exit
+code, stdout and stderr of the two.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -25,23 +29,31 @@ def test_every_trace_target_is_present():
     assert tracer.absent == []
 
 
-def test_traced_corpus_fires_every_wrapper_and_parses_no_prelude(tmp_path, capsys):
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_traced_corpus_fires_every_wrapper_and_parses_no_prelude(tmp_path):
     paths = []
     for name, source in CORPUS.items():
         path = tmp_path / f"{name}.thy"
         path.write_text(source, encoding="utf-8")
         paths.append(str(path))
-    cli.main(["check", paths[0]])  # warm-up: the prelude is built here
+    _run(["check", paths[0]])  # warm-up: the prelude is built here
     tracer = Tracer().prepare()
     ops = 0
-    tracer.install()
-    try:
-        for path in paths:
-            for mode in CORPUS_MODES:
-                cli.main([*mode, path])
-                ops += 1
-    finally:
-        tracer.uninstall()
+    for path in paths:
+        for mode in CORPUS_MODES:
+            tracer.install()
+            try:
+                traced = _run([*mode, path])
+            finally:
+                tracer.uninstall()
+            assert traced == _run([*mode, path]), (path, mode)
+            ops += 1
     _, counts = tracer.end_op()
     assert tracer.labels - tracer.fired == set()
     assert counts["registry.prelude_calls"] == ops

@@ -1,10 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import holtypes as h
 from holtypes.errors import ConflictError, MismatchError, OccursError, UnificationError
-from holtypes.unify import Relation, compare, reduce
+from holtypes.types import apply_bindings
+from holtypes.unify import Relation, compare, reduce, relate
 
+import unify_reference
 from conftest import type_exprs
 
 nat = h.Prim("nat")
@@ -150,3 +152,78 @@ class TestSoundness:
             return
         for var, bound in out.bindings.items():
             assert var not in h.free_type_vars(bound)
+
+
+# Variables of every binding priority: user-written, counter-renamed and a
+# lambda placeholder.
+MIXED_VARS = [a, b, h.Var("a", 1), h.Var("q", 4), h.Var("lambda@0")]
+
+
+@st.composite
+def renamed_pairs(draw):
+    """A type and a copy of it with its variables renamed, not necessarily
+    injectively: pairs that often relate in both directions."""
+    t = draw(type_exprs(variables=MIXED_VARS))
+    renaming = {v: draw(st.sampled_from(MIXED_VARS)) for v in sorted(h.free_type_vars(t), key=str)}
+    return t, apply_bindings(renaming, t)
+
+
+def outcome(fn, *args):
+    """The bindings ``fn`` returns, ``None``, or the type and message of
+    the ``UnificationError`` it raises."""
+    try:
+        out = fn(*args)
+    except UnificationError as err:
+        return type(err), str(err)
+    return None if out is None else out.bindings
+
+
+def inline_relate(t, s, both):
+    """The compare-then-reduce loop the pipeline repeated before ``relate``,
+    reducing with the reference solver."""
+    for left, right in ((t, s), (s, t)) if both else ((t, s),):
+        if compare(left, right).holds():
+            return unify_reference.reduce(left, right)
+    return None
+
+
+class TestAgainstReference:
+    """``reduce`` and ``relate`` against the solver and the inline loops
+    they replaced, kept verbatim in ``tests/unify_reference.py``."""
+
+    @settings(max_examples=400)
+    @given(type_exprs(variables=MIXED_VARS), type_exprs(variables=MIXED_VARS))
+    def test_reduce_matches_reference(self, t, s):
+        assert outcome(reduce, t, s) == outcome(unify_reference.reduce, t, s)
+
+    @settings(max_examples=400)
+    @example(a, nat, False)
+    @example(nat, a, True)
+    @example(h.Fun((a, b)), h.Fun((b, a)), True)
+    @given(type_exprs(variables=MIXED_VARS), type_exprs(variables=MIXED_VARS), st.booleans())
+    def test_relate_matches_inline_loop(self, t, s, both):
+        assert outcome(relate, t, s, both) == outcome(inline_relate, t, s, both)
+
+    @settings(max_examples=200)
+    @given(renamed_pairs(), st.booleans())
+    def test_relate_matches_inline_loop_on_renamings(self, pair, both):
+        t, s = pair
+        assert outcome(relate, t, s, both) == outcome(inline_relate, t, s, both)
+
+    @settings(max_examples=200)
+    @given(renamed_pairs())
+    def test_pairs_related_both_ways_never_raise(self, pair):
+        # So retrying the other direction after a failed reduction, as
+        # pattern extraction once did, can never succeed.
+        t, s = pair
+        if compare(t, s).holds() and compare(s, t).holds():
+            reduce(t, s)
+            reduce(s, t)
+
+    def test_relate_tries_the_given_direction_first(self):
+        assert relate(a, nat, both=False).bindings == {a: nat}
+        assert relate(nat, a, both=False) is None
+        assert relate(nat, a).bindings == {a: nat}
+        assert relate(nat, bool_) is None
+        with pytest.raises(ConflictError):
+            relate(h.Fun((a, a)), h.Fun((nat, bool_)))
