@@ -114,6 +114,42 @@ def walk(e):
         yield from walk(c)
 
 
+def binders(patterns, rhs):
+    """Map the node id of every use of a local name in one equation (a
+    ``VarExpr`` or an ``AppExpr`` head of ``rhs``) to the node id of its
+    binder: a pattern ``VarExpr`` or a lambda parameter.  Globals are absent.
+
+    ``patterns`` bind over ``rhs``, a let's pattern over its body, a case
+    pattern over its branch, lambda parameters over the lambda's body; the
+    later of two binders of one name wins."""
+    uses = {}
+    todo = [(rhs, _extend({}, *patterns))]
+    while todo:
+        e, scope = todo.pop()
+        if isinstance(e, (VarExpr, AppExpr)):
+            name = e.name if isinstance(e, VarExpr) else e.head
+            if name in scope:
+                uses[e.node_id] = scope[name]
+        if isinstance(e, LetInExpr):
+            todo += [(e.bound, scope), (e.body, _extend(scope, e.pattern))]
+        elif isinstance(e, CaseExpr):
+            todo.append((e.scrutinee, scope))
+            todo += [(body, _extend(scope, pat)) for pat, body in e.branches]
+        elif isinstance(e, LambdaExpr):
+            todo.append((e.body, {**scope, **dict(zip(e.params, e.param_ids))}))
+        else:
+            todo += [(c, scope) for c in children(e)]
+    return uses
+
+
+def _extend(scope, *patterns):
+    """A copy of ``scope`` plus the ``VarExpr`` binders of ``patterns``."""
+    scope = dict(scope)
+    for pat in patterns:
+        scope.update((v.name, v.node_id) for v in walk(pat) if isinstance(v, VarExpr))
+    return scope
+
+
 def equal_modulo_ids(a, b):
     """Structural equality ignoring node ids and spans."""
     if type(a) is not type(b):

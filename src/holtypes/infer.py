@@ -1,10 +1,10 @@
 """The inference pipeline: pattern type extraction, bottom-up inference,
 and top-down completion, run per function equation.
 
-Each equation is processed in three stages: its patterns are bound to the
-declared parameter types and decomposed, the right-hand side is inferred
-bottom-up with unification, and the declared return type is pushed back
-down to complete types that bottom-up inference left abstract.
+Each equation's names are resolved to their binders first, by
+``exprs.binders``.  Then its patterns are typed by the declared parameter
+types and decomposed, the right-hand side is inferred bottom-up with
+unification, and the declared return type is pushed back down.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .exprs import (
     ListExpr,
     SetExpr,
     VarExpr,
+    binders,
     walk,
 )
-from .registry import SolverRegistry
+from .registry import POLYMORPHIC_COMPARISONS, SolverRegistry
 from .types import (
     BOTTOM,
     Bottom,
@@ -84,8 +85,8 @@ class TypedSpec:
 
 class InferenceSession:
     """Mutable state for inferring one theory: the current equation's
-    context, the error list, the lambda placeholder counter, and rule
-    tracing.
+    context and binder map, the error list, the lambda placeholder
+    counter, and rule tracing.
 
     Every write to ``ctx.node_types`` goes through ``ctx.set_type``, which
     indexes each node under the variables its type mentions;
@@ -96,6 +97,7 @@ class InferenceSession:
     def __init__(self, registry, trace=False):
         self.registry = registry
         self.ctx = TypeContext()
+        self.binders = {}
         self.errors: list[Diagnostic] = []
         self.lambda_counter = 0
         self.trace: list[str] | None = [] if trace else None
@@ -109,8 +111,8 @@ class InferenceSession:
         self.diagnose(node_id, kind, message)
         self.ctx.set_type(node_id, BOTTOM)
 
-    def diagnose_unification(self, node_id, err):
-        self.diagnose(node_id, _kind_for(err), str(err))
+    def fail_unification(self, node_id, err):
+        self.fail(node_id, _kind_for(err), str(err))
 
     def apply_substitution(self, subst):
         """Rewrite the nodes whose types mention a domain variable of
@@ -124,11 +126,6 @@ class InferenceSession:
         for k in touched:
             ctx.set_type(k, apply_subst(subst, ctx.node_types[k]))
 
-    def fresh_placeholder(self):
-        v = Var(f"{LAMBDA_NAMESPACE}{self.lambda_counter}")
-        self.lambda_counter += 1
-        return v
-
     def trace_rule(self, rule, node_id, before, after):
         if self.trace is not None:
             b = format_type(before) if before is not None else "-"
@@ -137,11 +134,9 @@ class InferenceSession:
 
 
 def _poison(sess, e):
-    """Mark a pattern node and everything below it as failed."""
+    """Mark a pattern node and everything below it, binders too, as failed."""
     for node in walk(e):
         sess.ctx.set_type(node.node_id, BOTTOM)
-        if isinstance(node, VarExpr):
-            sess.ctx.bind(node.name, node.node_id)
 
 
 def extract_pattern_types(sess, pattern):
@@ -152,16 +147,13 @@ def extract_pattern_types(sess, pattern):
     if isinstance(expected, Bottom):
         _poison(sess, pattern)
         return
-    if isinstance(pattern, VarExpr):
-        ctx.bind(pattern.name, pattern.node_id)
-        return
-    if isinstance(pattern, ConstExpr):
+    if isinstance(pattern, (VarExpr, ConstExpr)):
         return
     if isinstance(pattern, AppExpr):
         try:
             inst = sess.registry.instantiate(pattern.head)
         except UnknownNameError as err:
-            sess.diagnose_unification(pattern.node_id, err)
+            sess.fail_unification(pattern.node_id, err)
             _poison(sess, pattern)
             return
         if pattern.args:
@@ -203,8 +195,9 @@ def extract_pattern_types(sess, pattern):
             sess.trace_rule(rule, elem.node_id, None, elem_type)
             extract_pattern_types(sess, elem)
         return
-    sess.fail(pattern.node_id, UNSUPPORTED,
-              f"{pattern.kind} is not valid in a pattern")
+    sess.diagnose(pattern.node_id, UNSUPPORTED,
+                  f"{pattern.kind} is not valid in a pattern")
+    _poison(sess, pattern)
 
 
 def _unify_against(sess, node, target_of):
@@ -219,8 +212,7 @@ def _unify_against(sess, node, target_of):
     try:
         subst = relate(sigma, tau)
     except UnificationError as err:
-        sess.diagnose_unification(node.node_id, err)
-        sess.ctx.set_type(node.node_id, BOTTOM)
+        sess.fail_unification(node.node_id, err)
         return
     if subst is None:
         sess.fail(node.node_id, MISMATCH,
@@ -238,7 +230,7 @@ def bottom_up(sess, e):
     if isinstance(e, AppExpr):
         for arg in e.args:
             bottom_up(sess, arg)
-        binder = ctx.resolve(e.head)
+        binder = sess.binders.get(e.node_id)
         if binder is not None:
             # The head is pattern- or lambda-bound: it has its actual
             # type and is not freshened.
@@ -302,23 +294,19 @@ def bottom_up(sess, e):
 
     if isinstance(e, LetInExpr):
         bottom_up(sess, e.bound)
-        ctx.push_scope()
         ctx.set_type(e.pattern.node_id, ctx.type_of(e.bound.node_id))
         sess.trace_rule("Let-BU", e.pattern.node_id, None, ctx.type_of(e.pattern.node_id))
         extract_pattern_types(sess, e.pattern)
         bottom_up(sess, e.body)
-        ctx.pop_scope()
         ctx.set_type(e.node_id, ctx.type_of(e.body.node_id))
         return
 
     if isinstance(e, CaseExpr):
         bottom_up(sess, e.scrutinee)
         for pat, body in e.branches:
-            ctx.push_scope()
             ctx.set_type(pat.node_id, ctx.type_of(e.scrutinee.node_id))
             extract_pattern_types(sess, pat)
             bottom_up(sess, body)
-            ctx.pop_scope()
         first_body = e.branches[0][1]
         ctx.set_type(e.node_id, ctx.type_of(first_body.node_id))
         sess.trace_rule("Case-BU", e.node_id, None, ctx.type_of(e.node_id))
@@ -327,15 +315,12 @@ def bottom_up(sess, e):
         return
 
     if isinstance(e, LambdaExpr):
-        ctx.push_scope()
-        for name, pid in zip(e.params, e.param_ids):
-            placeholder = sess.fresh_placeholder()
-            ctx.set_type(pid, placeholder)
-            ctx.bind(name, pid)
+        for pid in e.param_ids:
+            ctx.set_type(pid, Var(f"{LAMBDA_NAMESPACE}{sess.lambda_counter}"))
+            sess.lambda_counter += 1
         positions = bottom_up(sess, e.body)
         param_types = [ctx.type_of(pid) for pid in e.param_ids]
         body_type = ctx.type_of(e.body.node_id)
-        ctx.pop_scope()
         if isinstance(body_type, Bottom) or any(isinstance(p, Bottom) for p in param_types):
             ctx.set_type(e.node_id, BOTTOM)
             return
@@ -345,7 +330,7 @@ def bottom_up(sess, e):
         return
 
     if isinstance(e, VarExpr):
-        binder = ctx.resolve(e.name)
+        binder = sess.binders.get(e.node_id)
         if binder is not None:
             ctx.set_type(e.node_id, ctx.type_of(binder))
             sess.trace_rule("Exp-BU", e.node_id, None, ctx.type_of(e.node_id))
@@ -393,11 +378,11 @@ def top_down(sess, e):
         return
 
     if isinstance(e, AppExpr):
-        if sess.registry.is_polymorphic_comparison(e.head):
+        if e.head in POLYMORPHIC_COMPARISONS:
             # No constraint flows from a polymorphic comparison's result
             # to its operands.
             return
-        if ctx.resolve(e.head) is None and e.head in sess.registry:
+        if e.node_id not in sess.binders and e.head in sess.registry:
             inst = sess.registry.instantiate(e.head)
             parts = inst.parts if isinstance(inst, Fun) else (inst,)
             if len(parts) - 1 >= len(e.args):
@@ -453,8 +438,7 @@ def _seed_return_type(sess, rhs, declared_ret):
     try:
         subst = relate(cur, declared_ret, both=False)
     except UnificationError as err:
-        sess.diagnose_unification(rhs.node_id, err)
-        ctx.set_type(rhs.node_id, BOTTOM)
+        sess.fail_unification(rhs.node_id, err)
         return
     if subst is None:
         sess.fail(rhs.node_id, MISMATCH,
@@ -466,12 +450,13 @@ def _seed_return_type(sess, rhs, declared_ret):
 
 
 def infer_spec(sess, f):
-    """Run the three stages over every equation of ``f``, each in a fresh
-    context, and collect the final node types into a TypedSpec."""
+    """Run the three stages over every equation of ``f``, each with a fresh
+    context and binder map, and collect the final node types into a TypedSpec."""
     diag_start = len(sess.errors)
     node_types = {}
     for patterns, rhs in f.equations:
         sess.ctx = ctx = TypeContext()
+        sess.binders = binders(patterns, rhs)
         for pat, declared in zip(patterns, f.param_types):
             ctx.set_type(pat.node_id, declared)
             sess.trace_rule("EX-Seed", pat.node_id, None, declared)

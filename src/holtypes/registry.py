@@ -123,9 +123,6 @@ class SolverRegistry:
             raise UnknownNameError(name)
         return self.entries[name]
 
-    def is_polymorphic_comparison(self, name):
-        return name in POLYMORPHIC_COMPARISONS
-
     def dump(self):
         """All entries as ``name :: type`` lines, sorted by name."""
         return [f"{name} :: {format_type(s.body)}" for name, s in sorted(self.entries.items())]

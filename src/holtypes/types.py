@@ -198,11 +198,11 @@ def apply_bindings(bindings, t):
 
 
 class TypeContext:
-    """Maps AST node ids to types, plus a scope stack for name binding.
+    """Maps AST node ids to types.
 
     Keyed by node id rather than by expression structure: two textual
-    occurrences of one variable are distinct nodes linked through scope
-    resolution.
+    occurrences of one variable are distinct nodes, linked through the
+    binder map of ``exprs.binders``.
 
     ``occurrences`` maps each type variable to the ids of nodes whose
     type mentions it, so a substitution can rewrite just those nodes.
@@ -215,7 +215,6 @@ class TypeContext:
     def __init__(self):
         self.node_types = {}
         self.occurrences = {}
-        self.scopes = [{}]
 
     def set_type(self, node_id, t):
         self.node_types[node_id] = t
@@ -224,22 +223,6 @@ class TypeContext:
 
     def type_of(self, node_id):
         return self.node_types.get(node_id)
-
-    def push_scope(self):
-        self.scopes.append({})
-
-    def pop_scope(self):
-        self.scopes.pop()
-
-    def bind(self, name, node_id):
-        self.scopes[-1][name] = node_id
-
-    def resolve(self, name):
-        """Node id bound to ``name`` in the innermost scope, or None."""
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
 
 
 def format_type(t):

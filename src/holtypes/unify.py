@@ -259,8 +259,7 @@ def unify_app(sess, e, head_type):
         try:
             subst = relate(sigma, tau)
         except UnificationError as err:
-            sess.diagnose_unification(arg.node_id, err)
-            sess.ctx.set_type(arg.node_id, BOTTOM)
+            sess.fail_unification(arg.node_id, err)
             continue
         if subst is None:
             sess.fail(arg.node_id, "mismatch",
@@ -290,12 +289,10 @@ def unify_abs(sess, e, positions):
     for i, arg in enumerate(body.args):
         if i >= len(positions) - 1 or not isinstance(arg, VarExpr):
             continue
-        for j, name in enumerate(e.params):
-            if arg.name == name:
-                param_id = e.param_ids[j]
-                if sess.ctx.type_of(param_id) != positions[i]:
-                    sess.ctx.set_type(param_id, positions[i])
-                    changed = True
+        param_id = sess.binders.get(arg.node_id)
+        if param_id in e.param_ids and sess.ctx.type_of(param_id) != positions[i]:
+            sess.ctx.set_type(param_id, positions[i])
+            changed = True
     if changed:
         before = sess.ctx.type_of(e.node_id)
         param_types = [sess.ctx.type_of(pid) for pid in e.param_ids]

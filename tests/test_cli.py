@@ -145,6 +145,38 @@ def _equation(rhs):
     return f'fun f :: "nat => nat" where "f x = {rhs}"'
 
 
+# A local named after a global function is typed from its binder wherever
+# it is bound: by a let, by a case branch or by the equation's patterns.
+SHADOWING = {
+    "let": ('fun h :: "(\'b => nat) => \'b => nat" where "h f y = (let length = f in length y)"',
+            "h (f :: ('b => nat)) (y :: 'b) = ((let (length :: ('b => nat)) = (f :: ('b => nat)) "
+            "in ((length (y :: 'b)) :: nat)) :: nat)"),
+    "case": ('fun h :: "(\'b => nat) list => \'b => nat" where '
+             '"h fs y = (case fs of (length # r) => length y | [] => 0)"',
+             "h (fs :: (('b => nat) )list) (y :: 'b) = ((case (fs :: (('b => nat) )list) of "
+             "(((length :: ('b => nat)) # (r :: (('b => nat) )list)) :: (('b => nat) )list) => "
+             "((length (y :: 'b)) :: nat) | (Nil :: (('b => nat) )list) => (0 :: nat)) :: nat)"),
+    "pattern": ('fun h :: "(\'b => nat) => \'b => nat" where "h length y = length y"',
+                "h (length :: ('b => nat)) (y :: 'b) = ((length (y :: 'b)) :: nat)"),
+}
+
+
+@pytest.mark.parametrize("binder", sorted(SHADOWING))
+def test_shadowing_local_is_typed_from_its_binder(theory_file, capsys, binder):
+    source, annotated = SHADOWING[binder]
+    assert main(["annotate", theory_file(source)]) == 0
+    assert capsys.readouterr() == (f"h\n{annotated}\n", "")
+
+
+@pytest.mark.parametrize("binder", sorted(SHADOWING))
+def test_shadowing_application_gets_no_top_down_rule(theory_file, capsys, binder):
+    # App-TD pushes the global's parameter types into the arguments.
+    assert main(["check", "--trace", theory_file(SHADOWING[binder][0])]) == 0
+    err = capsys.readouterr().err
+    assert "App-BU" in err
+    assert "App-TD" not in err
+
+
 def test_deep_parentheses_exit_one(theory_file, capsys):
     code = main(["check", theory_file(_equation("(" * 1000 + "x" + ")" * 1000))])
     assert code == 1

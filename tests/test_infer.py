@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import holtypes as h
-from holtypes.exprs import AppExpr, LambdaExpr, walk
+from holtypes.exprs import AppExpr, ConstExpr, LambdaExpr, LetInExpr, VarExpr, binders, walk
 from holtypes.infer import InferenceSession, bottom_up, extract_pattern_types, top_down
 from holtypes.parser import BUILTIN_CTOR_NAMES, _ExprParser, _IdAllocator, _TokenStream, tokenize
 from holtypes.unify import compare
@@ -37,9 +37,7 @@ def parse_expr(text, start_id=1000):
 
 
 def fresh_session():
-    sess = InferenceSession(h.SolverRegistry.with_prelude())
-    sess.ctx.push_scope()
-    return sess
+    return InferenceSession(h.SolverRegistry.with_prelude())
 
 
 class TestPatternExtraction:
@@ -83,15 +81,28 @@ class TestPatternExtraction:
         extract_pattern_types(sess, pat)
         assert sess.errors[0].kind == "unknown-name"
 
+    def test_unsupported_pattern_degrades_its_binders(self):
+        # A let whose pattern is a lambda, which only a hand-built tree has:
+        # the variable under it is a binder and fails with it.
+        binder, use = VarExpr(1, name="y"), VarExpr(4, name="y")
+        pattern = LambdaExpr(2, params=["z"], param_ids=[3], body=binder)
+        e = LetInExpr(5, pattern=pattern, bound=ConstExpr(6, literal="1"), body=use)
+        sess = fresh_session()
+        sess.binders = binders([], e)
+        bottom_up(sess, e)
+        assert [d.kind for d in sess.errors] == ["unsupported"]
+        assert sess.ctx.type_of(use.node_id) == h.BOTTOM
+
 
 class TestBottomUp:
     def run(self, text, bindings=()):
+        # Each binding is a pattern variable with its type, outside ``e``.
         sess = fresh_session()
         e = parse_expr(text)
-        for name, t in bindings:
-            nid = -1 - len(sess.ctx.scopes[-1])
-            sess.ctx.set_type(nid, t)
-            sess.ctx.bind(name, nid)
+        patterns = [VarExpr(-1 - i, name=name) for i, (name, _) in enumerate(bindings)]
+        for pat, (_, t) in zip(patterns, bindings):
+            sess.ctx.set_type(pat.node_id, t)
+        sess.binders = binders(patterns, e)
         bottom_up(sess, e)
         return sess, e
 
@@ -247,9 +258,9 @@ class TestTopDown:
         sess = fresh_session()
         e = parse_expr("x = y")
         q = h.Var("q", 7)
-        for name, node, t in (("x", e.args[0], q), ("y", e.args[1], q)):
-            sess.ctx.bind(name, node.node_id)
-            sess.ctx.set_type(node.node_id, t)
+        for node in e.args:
+            sess.binders[node.node_id] = node.node_id
+            sess.ctx.set_type(node.node_id, q)
         sess.ctx.set_type(e.node_id, h.Prim("bool"))
         top_down(sess, e)
         assert sess.ctx.type_of(e.args[0].node_id) == q

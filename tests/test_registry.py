@@ -3,7 +3,14 @@ import pytest
 import holtypes as h
 from holtypes import parser
 from holtypes.errors import DuplicateNameError, UnknownNameError
-from holtypes.registry import BUILTIN, DATATYPE_DECL, FUNCTION_DECL, SolverRegistry, TypeScheme
+from holtypes.registry import (
+    BUILTIN,
+    DATATYPE_DECL,
+    FUNCTION_DECL,
+    POLYMORPHIC_COMPARISONS,
+    SolverRegistry,
+    TypeScheme,
+)
 
 from corpus import BS_SPEC, CORPUS, PRODUCT_LISTS_SPEC, TEST_SPEC
 from type_support import erase_counters
@@ -118,10 +125,11 @@ class TestLookupUnmodified:
 
 
 def test_polymorphic_comparison_flags(prelude):
-    assert prelude.is_polymorphic_comparison("=")
-    assert prelude.is_polymorphic_comparison("<")
-    assert not prelude.is_polymorphic_comparison("+")
-    assert not prelude.is_polymorphic_comparison("If")
+    assert "=" in POLYMORPHIC_COMPARISONS
+    assert "<" in POLYMORPHIC_COMPARISONS
+    assert "+" not in POLYMORPHIC_COMPARISONS
+    assert "If" not in POLYMORPHIC_COMPARISONS
+    assert all(name in prelude for name in POLYMORPHIC_COMPARISONS)
 
 
 def test_dump_lists_entries(prelude):

@@ -102,19 +102,6 @@ class TestApplySubst:
         assert type(out) is type(t)
 
 
-class TestContext:
-    def test_scope_resolution_is_innermost_first(self):
-        ctx = h.TypeContext()
-        ctx.push_scope()
-        ctx.bind("x", 1)
-        ctx.push_scope()
-        ctx.bind("x", 2)
-        assert ctx.resolve("x") == 2
-        ctx.pop_scope()
-        assert ctx.resolve("x") == 1
-        assert ctx.resolve("y") is None
-
-
 class TestFormatting:
     @pytest.mark.parametrize("text", [
         "'a",
