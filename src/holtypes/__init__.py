@@ -53,7 +53,6 @@ from .infer import (
     extract_pattern_types,
     infer_spec,
     infer_theory,
-    top_down,
 )
 from .emit import (
     CppTypeMap,

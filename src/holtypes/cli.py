@@ -99,9 +99,8 @@ def main(argv=None):
         print(f"{args.file}: {TOO_DEEP}", file=sys.stderr)
         return EXIT_PARSE
 
-    if args.trace and result.session.trace:
-        for line in result.session.trace:
-            print(line, file=sys.stderr)
+    for line in result.trace or ():
+        print(line, file=sys.stderr)
 
     artifacts = []
     if args.dump_sigma:

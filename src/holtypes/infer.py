@@ -1,10 +1,10 @@
-"""The inference pipeline: pattern type extraction, bottom-up inference,
-and top-down completion, run per function equation.
+"""The inference pipeline, run per function equation in three stages.
 
 Each equation's names are resolved to their binders first, by
 ``exprs.binders``.  Then its patterns are typed by the declared parameter
 types and decomposed, the right-hand side is inferred bottom-up with
-unification, and the declared return type is pushed back down.
+unification, and the return-type seed relates the declared return type
+to the inferred one, which rewrites every node the substitution touches.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .exprs import (
     binders,
     walk,
 )
-from .registry import POLYMORPHIC_COMPARISONS, SolverRegistry
+from .registry import SolverRegistry
 from .types import (
     BOTTOM,
     Bottom,
@@ -45,7 +45,7 @@ from .types import (
     list_of,
     set_of,
 )
-from .unify import Relation, compare, relate, unify_abs, unify_app
+from .unify import relate, unify_abs, unify_app
 
 MISMATCH = "mismatch"
 OCCURS = "occurs"
@@ -101,7 +101,6 @@ class InferenceSession:
         self.errors: list[Diagnostic] = []
         self.lambda_counter = 0
         self.trace: list[str] | None = [] if trace else None
-        self.td_replacements: list[tuple[int, object, object]] = []
 
     def diagnose(self, node_id, kind, message):
         self.errors.append(Diagnostic(node_id, kind, message))
@@ -351,86 +350,11 @@ def bottom_up(sess, e):
     sess.fail(e.node_id, UNSUPPORTED, f"cannot infer a type for {e.kind}")
 
 
-def _td_replace(sess, node, new, rule, strict):
-    """Replace a node's type when the current one is more abstract than
-    the pushed one; a failed comparison leaves the node untouched."""
-    cur = sess.ctx.type_of(node.node_id)
-    if cur is None or isinstance(cur, Bottom) or isinstance(new, Bottom):
-        return
-    if cur == new:
-        return
-    rel = compare(cur, new)
-    if rel is Relation.INCOMPARABLE:
-        return
-    if strict and rel is not Relation.MORE_ABSTRACT_STRICT:
-        return
-    sess.ctx.set_type(node.node_id, new)
-    sess.td_replacements.append((node.node_id, cur, new))
-    sess.trace_rule(rule, node.node_id, cur, new)
-
-
-def top_down(sess, e):
-    """Push the expected type of ``e`` (already in the context) down into
-    its sub-expressions, making abstract types concrete."""
-    ctx = sess.ctx
-    t_e = ctx.type_of(e.node_id)
-    if t_e is None or isinstance(t_e, Bottom):
-        return
-
-    if isinstance(e, AppExpr):
-        if e.head in POLYMORPHIC_COMPARISONS:
-            # No constraint flows from a polymorphic comparison's result
-            # to its operands.
-            return
-        if e.node_id not in sess.binders and e.head in sess.registry:
-            inst = sess.registry.instantiate(e.head)
-            parts = inst.parts if isinstance(inst, Fun) else (inst,)
-            if len(parts) - 1 >= len(e.args):
-                ret = parts[-1] if len(e.args) == len(parts) - 1 else Fun(parts[len(e.args):])
-                try:
-                    subst = relate(ret, t_e, both=False)
-                except UnificationError:
-                    subst = None
-                for i, arg in enumerate(e.args):
-                    if subst is not None:
-                        _td_replace(sess, arg, apply_subst(subst, parts[i]),
-                                    "App-TD", strict=True)
-                    top_down(sess, arg)
-                return
-        for arg in e.args:
-            top_down(sess, arg)
-        return
-
-    if isinstance(e, (ListExpr, SetExpr)):
-        ctor = "list" if isinstance(e, ListExpr) else "set"
-        rule = "List-TD" if ctor == "list" else "Set-TD"
-        shaped = isinstance(t_e, Constructed) and t_e.ctor == ctor
-        for elem in e.elems:
-            if shaped:
-                _td_replace(sess, elem, ctx.type_of(e.node_id).args[0], rule, strict=False)
-            top_down(sess, elem)
-        return
-
-    if isinstance(e, LetInExpr):
-        _td_replace(sess, e.body, t_e, "Let-TD", strict=False)
-        top_down(sess, e.body)
-        return
-
-    if isinstance(e, CaseExpr):
-        for _, body in e.branches:
-            _td_replace(sess, body, ctx.type_of(e.node_id), "Case-TD", strict=False)
-            top_down(sess, body)
-        return
-
-    if isinstance(e, (LambdaExpr, VarExpr, ConstExpr)):
-        return
-
-    sess.fail(e.node_id, UNSUPPORTED, f"cannot complete a type for {e.kind}")
-
-
 def _seed_return_type(sess, rhs, declared_ret):
-    """Confront the inferred type of an equation's right-hand side with
-    the declared return type before running top-down completion."""
+    """Stage 3: relate the right-hand side's inferred type to the declared
+    return type and apply the substitution.  The occurrence index carries
+    it to every node that mentions a bound variable, so the declared type
+    reaches the whole right-hand side at once (an empty list included)."""
     ctx = sess.ctx
     cur = ctx.type_of(rhs.node_id)
     if cur is None or isinstance(cur, Bottom):
@@ -446,12 +370,14 @@ def _seed_return_type(sess, rhs, declared_ret):
         return
     if subst:
         sess.apply_substitution(subst)
-    _td_replace(sess, rhs, declared_ret, "TD-Seed", strict=False)
 
 
 def infer_spec(sess, f):
     """Run the three stages over every equation of ``f``, each with a fresh
-    context and binder map, and collect the final node types into a TypedSpec."""
+    context and binder map, and collect the final node types into a TypedSpec.
+    Counters restart per function, so earlier functions do not renumber it."""
+    sess.registry.fresh_counter = 0
+    sess.lambda_counter = 0
     diag_start = len(sess.errors)
     node_types = {}
     for patterns, rhs in f.equations:
@@ -463,7 +389,6 @@ def infer_spec(sess, f):
             extract_pattern_types(sess, pat)
         bottom_up(sess, rhs)
         _seed_return_type(sess, rhs, f.return_type)
-        top_down(sess, rhs)
         for root in (*patterns, rhs):
             for node in walk(root):
                 node_types[node.node_id] = ctx.type_of(node.node_id) or BOTTOM
@@ -477,7 +402,7 @@ def infer_spec(sess, f):
 class InferenceResult:
     registry: SolverRegistry
     typed_specs: list[TypedSpec]
-    session: InferenceSession = field(repr=False, default=None)
+    trace: list[str] | None = field(repr=False, default=None)
 
     @property
     def diagnostics(self):
@@ -497,4 +422,4 @@ def infer_theory(theory, trace=False):
     for f in theory.functions:
         registry.register_function(f)
         typed.append(infer_spec(sess, f))
-    return InferenceResult(registry, typed, sess)
+    return InferenceResult(registry, typed, sess.trace)

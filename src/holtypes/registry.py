@@ -30,8 +30,6 @@ BUILTIN = "builtin"
 DATATYPE_DECL = "datatype_decl"
 FUNCTION_DECL = "function_decl"
 
-POLYMORPHIC_COMPARISONS = frozenset(["=", "<"])
-
 
 @dataclass(frozen=True)
 class TypeScheme:

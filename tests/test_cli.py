@@ -168,15 +168,6 @@ def test_shadowing_local_is_typed_from_its_binder(theory_file, capsys, binder):
     assert capsys.readouterr() == (f"h\n{annotated}\n", "")
 
 
-@pytest.mark.parametrize("binder", sorted(SHADOWING))
-def test_shadowing_application_gets_no_top_down_rule(theory_file, capsys, binder):
-    # App-TD pushes the global's parameter types into the arguments.
-    assert main(["check", "--trace", theory_file(SHADOWING[binder][0])]) == 0
-    err = capsys.readouterr().err
-    assert "App-BU" in err
-    assert "App-TD" not in err
-
-
 def test_deep_parentheses_exit_one(theory_file, capsys):
     code = main(["check", theory_file(_equation("(" * 1000 + "x" + ")" * 1000))])
     assert code == 1
@@ -267,3 +258,16 @@ def test_calls_in_one_process_do_not_leak_into_each_other(theory_file, capsys, m
     b_names = set(registries[1][0].entries) - prelude_names
     assert {"Leaf", "Node", "tsize", "twice", "quad"} <= b_names
     assert not b_names & set(registries[2][0].entries)
+
+
+def test_earlier_function_does_not_renumber_instances(theory_file, capsys):
+    """Locality: each function numbers its instances from 0, so putting an
+    unrelated function before ``f`` leaves ``f``'s output byte-identical."""
+    g = 'fun g :: "\'b list => nat" where "g xs = length xs"'
+    f = 'fun f :: "nat => nat" where "f x = length []"'
+    assert main(["annotate", theory_file(f)]) == 0
+    alone = capsys.readouterr().out
+    assert main(["annotate", theory_file(g + "\n" + f)]) == 0
+    after_g = capsys.readouterr().out
+    assert alone == "f\nf (x :: nat) = ((length (Nil :: ('a#0 )list)) :: nat)\n"
+    assert after_g.startswith("g\n") and after_g.endswith("\n\n" + alone)

@@ -7,7 +7,6 @@ from holtypes.registry import (
     BUILTIN,
     DATATYPE_DECL,
     FUNCTION_DECL,
-    POLYMORPHIC_COMPARISONS,
     SolverRegistry,
     TypeScheme,
 )
@@ -122,14 +121,6 @@ class TestLookupUnmodified:
     def test_unknown_name(self, prelude):
         with pytest.raises(UnknownNameError):
             prelude.lookup("foo")
-
-
-def test_polymorphic_comparison_flags(prelude):
-    assert "=" in POLYMORPHIC_COMPARISONS
-    assert "<" in POLYMORPHIC_COMPARISONS
-    assert "+" not in POLYMORPHIC_COMPARISONS
-    assert "If" not in POLYMORPHIC_COMPARISONS
-    assert all(name in prelude for name in POLYMORPHIC_COMPARISONS)
 
 
 def test_dump_lists_entries(prelude):
