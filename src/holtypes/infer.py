@@ -206,7 +206,7 @@ def _unify_against(sess, node, target_of):
     tau = target_of()
     if isinstance(sigma, Bottom) or isinstance(tau, Bottom):
         return
-    if sigma == tau:
+    if sigma is tau:
         return
     try:
         subst = relate(sigma, tau)

@@ -504,10 +504,9 @@ class _IdAllocator:
 
 
 def _validate_declared_type(t, tok):
-    for v in free_type_vars(t):
-        if v.counter is not None:
-            raise ParseError(tok.line, tok.column,
-                             "modification suffixes ('#') are reserved for the inference engine")
+    if any(v.counter is not None for v in free_type_vars(t)):
+        raise ParseError(tok.line, tok.column,
+                         "modification suffixes ('#') are reserved for the inference engine")
 
 
 def _parse_datatype(ts, ids, known_ctors, declared):
@@ -565,12 +564,10 @@ def _parse_datatype(ts, ids, known_ctors, declared):
                 break
         for at in arg_types:
             _validate_declared_type(at, ctor_tok)
-            for v in free_type_vars(at):
-                if v.name not in param_set:
-                    raise ParseError(
-                        ctor_tok.line, ctor_tok.column,
-                        f"type variable '{v.name} not among the datatype parameters",
-                    )
+            stray = sorted(v.name for v in free_type_vars(at) if v.name not in param_set)
+            if stray:
+                raise ParseError(ctor_tok.line, ctor_tok.column,
+                                 f"type variable '{stray[0]} not among the datatype parameters")
         ctors.append((ctor_tok.value, arg_types))
         declared.add(ctor_tok.value)
         known_ctors.add(ctor_tok.value)

@@ -12,7 +12,7 @@ table and numbers its own instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .errors import DuplicateNameError, UnknownNameError
@@ -23,7 +23,6 @@ from .types import (
     Var,
     apply_bindings,
     format_type,
-    free_type_vars,
 )
 
 BUILTIN = "builtin"
@@ -35,13 +34,11 @@ FUNCTION_DECL = "function_decl"
 class TypeScheme:
     body: TypeExpr
     origin: str  # BUILTIN, DATATYPE_DECL or FUNCTION_DECL
-    variables: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", free_type_vars(self.body))
-        for v in self.variables:
-            if v.counter is not None:
-                raise ValueError(f"schemes never carry counters: {v}")
+        counted = sorted(format_type(v) for v in self.body.fv if v.counter is not None)
+        if counted:
+            raise ValueError(f"schemes never carry counters: {counted[0]}")
 
 
 @cache
@@ -112,9 +109,7 @@ class SolverRegistry:
         scheme = self.lookup(name)
         k = self.fresh_counter
         self.fresh_counter += 1
-        if not scheme.variables:
-            return scheme.body
-        return apply_bindings({v: Var(v.name, k) for v in scheme.variables}, scheme.body)
+        return apply_bindings({v: Var(v.name, k) for v in scheme.body.fv}, scheme.body)
 
     def lookup(self, name):
         if name not in self.entries:

@@ -3,115 +3,194 @@
 Type variables are identified by their (name, counter) pair: ``'a`` and
 ``'a#1`` are distinct variables.  Function types are kept in a canonical
 flat form: the final component is never itself a function type, so two
-spellings of the same curried type compare structurally equal.
+spellings of the same curried type are the same type.
+
+Types are interned (hash-consed) and immutable: each type class maps its
+normalised fields to the one live instance, so ``==`` and ``hash`` are
+identity, each type computes its free variables (``fv``) once, ``copy``,
+``deepcopy`` and ``pickle`` return the interned object, and ``Bottom()``
+is ``BOTTOM``.  The tables hold types weakly and take no lock: holtypes is
+single-threaded.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 PRIMITIVE_NAMES = ("nat", "bool", "int")
 
 LAMBDA_NAMESPACE = "lambda@"
 
+_NO_VARS = frozenset()
+
+
+class _Entry(weakref.ref):
+    """A weak table entry that removes itself once its type dies."""
+
+    __slots__ = ("table", "key")
+
+    def drop(self):
+        if self.table.get(self.key) is self:  # not re-bound meanwhile
+            del self.table[self.key]
+
+
+def _interned(cls, key):
+    """The live ``cls`` for ``key``; on a miss, one built from ``_fields(key)``."""
+    table = cls._table
+    entry = table.get(key)
+    t = entry() if entry is not None else None
+    if t is None:
+        t = object.__new__(cls)
+        for slot, value in zip(cls.__slots__, t._fields(key)):
+            object.__setattr__(t, slot, value)
+        entry = table[key] = _Entry(t, _Entry.drop)
+        entry.table, entry.key = table, key
+    return t
+
+
+def _components_fv(components):
+    """The variables of a composite type, after checking its components."""
+    for t in components:
+        if not isinstance(t, TypeExpr):
+            raise TypeError(f"expected a TypeExpr, got {t!r}")
+        if t is BOTTOM:
+            raise ValueError("the error type cannot appear inside another type")
+    return _NO_VARS.union(*[t.fv for t in components]) or _NO_VARS
+
 
 class TypeExpr:
-    """Base class for all type expressions."""
+    """Base class for all type expressions, which are interned."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
+    __match_args__ = ()
+    fv = _NO_VARS
 
     def __str__(self):
         return format_type(self)
 
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
-@dataclass(frozen=True)
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __copy__(self, *memo):
+        return self
+
+    __deepcopy__ = __copy__
+
+
 class Var(TypeExpr):
     """A type variable, optionally decorated with a modification counter."""
 
-    name: str
-    counter: int | None = None
+    __slots__ = __match_args__ = ("name", "counter")
+    _table = {}
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name, counter=None):
+        return _interned(cls, (name, counter))
+
+    def _fields(self, key):
+        name, counter = key
+        if not name:
             raise ValueError("type variable needs a name")
-        if self.counter is not None and self.counter < 0:
+        if counter is not None and counter < 0:
             raise ValueError("modification counter must be non-negative")
+        return key
+
+    @property
+    def fv(self):
+        # Not stored: a slot holding a set of the variable is a cycle.
+        return frozenset((self,))
 
     def is_placeholder(self):
         return self.name.startswith(LAMBDA_NAMESPACE)
 
 
-@dataclass(frozen=True)
 class Prim(TypeExpr):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+    _table = {}
 
-    def __post_init__(self):
-        if self.name not in PRIMITIVE_NAMES:
-            raise ValueError(f"not a primitive type: {self.name!r}")
+    def __new__(cls, name):
+        return _interned(cls, name)
 
-
-def _check_component(t):
-    if not isinstance(t, TypeExpr):
-        raise TypeError(f"expected a TypeExpr, got {t!r}")
-    if isinstance(t, Bottom):
-        raise ValueError("the error type cannot appear inside another type")
+    def _fields(self, name):
+        if name not in PRIMITIVE_NAMES:
+            raise ValueError(f"not a primitive type: {name!r}")
+        return (name,)
 
 
-@dataclass(frozen=True)
 class Fun(TypeExpr):
     """A function type ``t1 => ... => tn => r`` stored as a flat part list.
 
-    A trailing function type is absorbed into the part list, which makes
-    structural equality coincide with curried equality.
+    A trailing function type is absorbed into the part list, so curried
+    spellings of one type are one object.
     """
 
-    parts: tuple[TypeExpr, ...]
+    __slots__ = ("parts", "fv")
+    __match_args__ = ("parts",)
+    _table = {}
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __new__(cls, parts):
+        parts = tuple(parts)
         if parts and isinstance(parts[-1], Fun):
             parts = parts[:-1] + parts[-1].parts
+        return _interned(cls, parts)
+
+    def _fields(self, parts):
         if len(parts) < 2:
             raise ValueError("function types need at least two components")
-        for p in parts:
-            _check_component(p)
-        object.__setattr__(self, "parts", parts)
+        return parts, _components_fv(parts)
 
 
-@dataclass(frozen=True)
 class Tuple(TypeExpr):
-    left: TypeExpr
-    right: TypeExpr
+    __slots__ = ("left", "right", "fv")
+    __match_args__ = ("left", "right")
+    _table = {}
 
-    def __post_init__(self):
-        _check_component(self.left)
-        _check_component(self.right)
+    def __new__(cls, left, right):
+        return _interned(cls, (left, right))
+
+    def _fields(self, key):
+        return (*key, _components_fv(key))
 
 
 BUILTIN_UNARY_CTORS = ("list", "set", "option")
 
 
-@dataclass(frozen=True)
 class Constructed(TypeExpr):
     """A type built by applying a type constructor, e.g. ``'a list``."""
 
-    args: tuple[TypeExpr, ...]
-    ctor: str
+    __slots__ = ("args", "ctor", "fv")
+    __match_args__ = ("args", "ctor")
+    _table = {}
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if self.ctor in BUILTIN_UNARY_CTORS and len(self.args) != 1:
-            raise ValueError(f"{self.ctor} takes exactly one type argument")
-        for a in self.args:
-            _check_component(a)
+    def __new__(cls, args, ctor):
+        return _interned(cls, (tuple(args), ctor))
+
+    def _fields(self, key):
+        args, ctor = key
+        if ctor in BUILTIN_UNARY_CTORS and len(args) != 1:
+            raise ValueError(f"{ctor} takes exactly one type argument")
+        return (*key, _components_fv(args))
 
 
-@dataclass(frozen=True)
 class Bottom(TypeExpr):
     """The error type: marks a node whose type could not be established."""
 
+    __slots__ = ()
 
-BOTTOM = Bottom()
+    def __new__(cls):
+        return BOTTOM
+
+
+BOTTOM = object.__new__(Bottom)
 
 
 def list_of(t):
@@ -128,23 +207,7 @@ def option_of(t):
 
 def free_type_vars(t):
     """The set of variables occurring in ``t`` (empty for the error type)."""
-    if isinstance(t, Var):
-        return frozenset((t,))
-    if isinstance(t, (Prim, Bottom)):
-        return frozenset()
-    if isinstance(t, Fun):
-        out = frozenset()
-        for p in t.parts:
-            out |= free_type_vars(p)
-        return out
-    if isinstance(t, Tuple):
-        return free_type_vars(t.left) | free_type_vars(t.right)
-    if isinstance(t, Constructed):
-        out = frozenset()
-        for a in t.args:
-            out |= free_type_vars(a)
-        return out
-    raise TypeError(f"not a type expression: {t!r}")
+    return t.fv
 
 
 @dataclass(frozen=True)
@@ -158,12 +221,10 @@ class SubstitutionSet:
     bindings: dict[Var, TypeExpr] = field(default_factory=dict)
 
     def __post_init__(self):
-        domain = set(self.bindings)
         for var, t in self.bindings.items():
-            vars_of_t = free_type_vars(t)
-            if var in vars_of_t:
+            if var in t.fv:
                 raise ValueError(f"occurs check failed for {var} := {t}")
-            if domain & vars_of_t:
+            if not t.fv.isdisjoint(self.bindings):
                 raise ValueError(
                     f"binding {var} := {t} mentions another domain variable"
                 )
@@ -186,15 +247,13 @@ def apply_bindings(bindings, t):
     validated ``SubstitutionSet`` per step."""
     if isinstance(t, Var):
         return bindings.get(t, t)
-    if isinstance(t, (Prim, Bottom)):
+    if t.fv.isdisjoint(bindings):
         return t
     if isinstance(t, Fun):
         return Fun(tuple(apply_bindings(bindings, p) for p in t.parts))
     if isinstance(t, Tuple):
         return Tuple(apply_bindings(bindings, t.left), apply_bindings(bindings, t.right))
-    if isinstance(t, Constructed):
-        return Constructed(tuple(apply_bindings(bindings, a) for a in t.args), t.ctor)
-    raise TypeError(f"not a type expression: {t!r}")
+    return Constructed(tuple(apply_bindings(bindings, a) for a in t.args), t.ctor)
 
 
 class TypeContext:
@@ -218,7 +277,7 @@ class TypeContext:
 
     def set_type(self, node_id, t):
         self.node_types[node_id] = t
-        for v in free_type_vars(t):
+        for v in t.fv:
             self.occurrences.setdefault(v, set()).add(node_id)
 
     def type_of(self, node_id):

@@ -26,13 +26,11 @@ from .types import (
     Bottom,
     Constructed,
     Fun,
-    Prim,
     SubstitutionSet,
     Tuple,
     Var,
     apply_bindings,
     apply_subst,
-    free_type_vars,
 )
 
 
@@ -64,19 +62,15 @@ def compare(t, s):
     """
     if isinstance(t, Bottom) or isinstance(s, Bottom):
         return Relation.INCOMPARABLE
+    if t is s:
+        return Relation.MORE_ABSTRACT
     if isinstance(t, Var):
         if isinstance(s, Var):
             return Relation.MORE_ABSTRACT
-        if isinstance(s, Prim):
-            return Relation.MORE_ABSTRACT_STRICT
-        if t in free_type_vars(s):
+        if t in s.fv:
             return Relation.INCOMPARABLE
         return Relation.MORE_ABSTRACT_STRICT
     if isinstance(s, Var):
-        return Relation.INCOMPARABLE
-    if isinstance(t, Prim):
-        if isinstance(s, Prim) and t.name == s.name:
-            return Relation.MORE_ABSTRACT
         return Relation.INCOMPARABLE
     if isinstance(t, Fun) and isinstance(s, Fun):
         if len(t.parts) != len(s.parts):
@@ -104,7 +98,7 @@ def _bind_priority(v):
 
 def _decompose(t, s, facts):
     """Split ``t >= s`` into irreducible (var, type) facts."""
-    if t == s:
+    if t is s:
         return
     if isinstance(t, Var):
         facts.append((t, s))
@@ -163,7 +157,7 @@ class _Solution:
         """Record that the resolved forms of ``var`` and ``t`` must match."""
         rv = self.resolve(var)
         rt = self.resolve(t)
-        if rv == rt:
+        if rv is rt:
             return
         if isinstance(rv, Var) and isinstance(rt, Var):
             if _bind_priority(rt) > _bind_priority(rv):
@@ -187,12 +181,12 @@ class _Solution:
             self.absorb(v2, t2_)
 
     def _bind(self, var, t):
-        if var in free_type_vars(t):
+        if var in t.fv:
             raise OccursError(var, t)
         one = {var: t}
         for v, b in list(self.bindings.items()):
             nb = apply_bindings(one, b)
-            if v in free_type_vars(nb):
+            if v in nb.fv:
                 raise OccursError(v, nb)
             self.bindings[v] = nb
         self.bindings[var] = t
@@ -219,11 +213,7 @@ def reduce(t, s):
     """
     rel = compare(t, s)
     if rel is Relation.INCOMPARABLE:
-        if (
-            isinstance(t, Var)
-            and not isinstance(s, (Var, Prim, Bottom))
-            and t in free_type_vars(s)
-        ):
+        if isinstance(t, Var) and t in s.fv:
             raise OccursError(t, s)
         raise MismatchError(t, s)
     return _solve(t, s)
@@ -290,7 +280,7 @@ def unify_abs(sess, e, positions):
         if i >= len(positions) - 1 or not isinstance(arg, VarExpr):
             continue
         param_id = sess.binders.get(arg.node_id)
-        if param_id in e.param_ids and sess.ctx.type_of(param_id) != positions[i]:
+        if param_id in e.param_ids and sess.ctx.type_of(param_id) is not positions[i]:
             sess.ctx.set_type(param_id, positions[i])
             changed = True
     if changed:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import holtypes as h
 from holtypes.cli import main
 from holtypes.registry import SolverRegistry
 
@@ -258,6 +259,87 @@ def test_calls_in_one_process_do_not_leak_into_each_other(theory_file, capsys, m
     b_names = set(registries[1][0].entries) - prelude_names
     assert {"Leaf", "Node", "tsize", "twice", "quad"} <= b_names
     assert not b_names & set(registries[2][0].entries)
+
+
+@pytest.mark.parametrize("mode", [["check"], ["annotate"], ["annotate", "--emit", "json"],
+                                  ["annotate", "--emit", "cpp-types"]])
+def test_call_leaves_the_interning_tables_as_it_found_them(theory_file, capsys, mode):
+    """The tables hold types weakly: the types of a theory's own datatype
+    and functions die with the call."""
+    tables = [cls._table for cls in (h.Var, h.Prim, h.Fun, h.Tuple, h.Constructed)]
+    path = theory_file(CORPUS["tsize"])
+    main([*mode, path])
+    gc.collect()
+    before = [len(t) for t in tables]
+    main([*mode, path])
+    assert [len(t) for t in tables] == before
+    assert not [key for key in h.Constructed._table if key[1] == "tree"]
+
+
+def test_stray_datatype_variable_is_named_the_same_on_every_call(theory_file, capsys):
+    """The first stray variable by name, whatever order the set of the
+    argument type's variables iterates in."""
+    path = theory_file("datatype 'a t = C \"'b => 'c\"")
+    for _ in range(5):
+        assert main(["check", path]) == 1
+        assert capsys.readouterr().err.endswith(
+            ": 1:17: type variable 'b not among the datatype parameters\n")
+
+
+# Declared tuple types, the only way a tuple type enters a theory.  In
+# ``ppair``, unifying ``pid``'s instance relates ``('a#0, nat)`` to
+# ``('a, nat)``, which decomposes and substitutes inside a tuple.
+TUPLE_SPEC = """\
+fun pid :: "('a, nat) => ('a, nat)" where "pid p = p"
+fun pfst :: "(('a, nat)) list => (('a, nat)) option" where \
+"pfst xs = (case xs of [] => None | y # ys => Some y)"
+fun ppair :: "('a, nat) => (('a, nat)) list" where "ppair p = [pid p, p]"
+"""
+
+
+def test_tuple_types_check_clean(theory_file, capsys):
+    path = theory_file(TUPLE_SPEC)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["check", "--trace", path]) == 0
+    assert "\nUni-App @ 14 : ('a#0, nat) \u27f6 ('a, nat)\n" in capsys.readouterr().err
+
+
+def test_tuple_types_annotate(theory_file, capsys):
+    assert main(["annotate", theory_file(TUPLE_SPEC)]) == 0
+    list_ = "(('a, nat) )list"
+    assert capsys.readouterr().out == (
+        "pid\n"
+        "pid (p :: ('a, nat)) = (p :: ('a, nat))\n"
+        "\n"
+        "pfst\n"
+        f"pfst (xs :: {list_}) = ((case (xs :: {list_}) of (Nil :: {list_}) => "
+        "(None :: (('a, nat) )option) | "
+        f"(((y :: ('a, nat)) # (ys :: {list_})) :: {list_}) => "
+        "((Some (y :: ('a, nat))) :: (('a, nat) )option)) :: (('a, nat) )option)\n"
+        "\n"
+        "ppair\n"
+        "ppair (p :: ('a, nat)) = ([((pid (p :: ('a, nat))) :: ('a, nat)), "
+        f"(p :: ('a, nat))] :: {list_})\n"
+    )
+
+
+def test_tuple_types_emit_json(theory_file, capsys):
+    assert main(["annotate", "--emit", "json", theory_file(TUPLE_SPEC)]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    assert [(d["function"], d["declared_type"], d["equations"][0]["rhs"]["type"],
+             d["diagnostics"]) for d in docs] == [
+        ("pid", "('a, nat) => ('a, nat)", "('a, nat)", []),
+        ("pfst", "(('a, nat)) list => (('a, nat)) option", "(('a, nat)) option", []),
+        ("ppair", "('a, nat) => (('a, nat)) list", "(('a, nat)) list", []),
+    ]
+
+
+def test_tuple_types_have_no_cpp_mapping(theory_file, capsys):
+    assert main(["annotate", "--emit", "cpp-types", theory_file(TUPLE_SPEC)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(".thy: render error: no C++ mapping for tuple types\n")
 
 
 def test_earlier_function_does_not_renumber_instances(theory_file, capsys):

@@ -1,6 +1,9 @@
 import copy
+import os
+import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -494,35 +497,69 @@ class TestOccurrenceIndex:
                     assert node_id in sess.ctx.occurrences[v]
 
 
+# Prints how many types ``infer_theory`` builds (interning-table misses)
+# on the theory read from stdin.
+_COUNT_TYPES_BUILT = """
+import sys
+import holtypes as h
+built = [0]
+for cls in (h.Var, h.Prim, h.Fun, h.Tuple, h.Constructed):
+    def fields(self, key, original=cls._fields):
+        built[0] += 1
+        return original(self, key)
+    cls._fields = fields
+theory = h.parse_theory(sys.stdin.read())
+built[0] = 0
+h.infer_theory(theory)
+print(built[0])
+"""
+
+
 class TestScaling:
     def test_long_equation_builds_types_linearly(self, monkeypatch):
         """Function and constructed types built while inferring one long
         equation grow linearly with its length (4x the elements, under
         6x the types), not with the length times the node count."""
-        built = 0
+        built = [0]
+        for cls in (h.Fun, h.Constructed):
+            # ``_fields`` runs once per interning-table miss.
+            def fields(self, key, original=cls._fields):
+                built[0] += 1
+                return original(self, key)
 
-        def count(cls):
-            original = cls.__post_init__
-
-            def post_init(self):
-                nonlocal built
-                built += 1
-                original(self)
-
-            monkeypatch.setattr(cls, "__post_init__", post_init)
+            monkeypatch.setattr(cls, "_fields", fields)
 
         def built_by_inference(length):
-            nonlocal built
             theory = h.parse_theory(long_equation(length))
-            built = 0
+            built[0] = 0
             result = h.infer_theory(theory)
             assert not result.diagnostics
-            return built
+            return built[0]
 
-        count(h.Fun)
-        count(h.Constructed)
         short, long = built_by_inference(100), built_by_inference(400)
         assert long / short < 6, (short, long)
+
+    def test_nested_partial_if_builds_types_linearly(self):
+        """``f x = (If (x = 0) (If ... x))``: each partial ``If`` applies
+        ``'a => 'a`` to the type so far, so the type has 2^N leaves but N
+        distinct subterms.  A type's free variables are computed once, when
+        it is built, so this also bounds the free-variable work (a walk
+        over the leaves makes about 590,000 calls at N=16).  Each count is
+        one cold ``infer_theory`` call, prelude included, in a fresh
+        interpreter, where no type another test keeps alive turns a
+        construction into a table hit."""
+        def built(n):
+            rhs = "(If (x = 0) " * n + "x" + ")" * n
+            src = str(Path(h.__file__).resolve().parents[1])
+            run = subprocess.run(
+                [sys.executable, "-c", _COUNT_TYPES_BUILT],
+                input=f'fun f :: "nat => nat" where "f x = {rhs}"',
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=120, check=True)
+            return int(run.stdout)
+
+        at_8, at_16 = built(8), built(16)
+        assert at_16 <= 2 * at_8, (at_8, at_16)
 
 
 class TestCostBudget:
@@ -555,5 +592,5 @@ class TestCostBudget:
             path.write_text(source, encoding="utf-8")
             assert cli.main(["check", str(path)]) == 0
         capsys.readouterr()
-        assert calls["compare"] <= 515, calls
+        assert calls["compare"] <= 465, calls
         assert calls["instantiate"] <= 86, calls

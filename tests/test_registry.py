@@ -12,7 +12,7 @@ from holtypes.registry import (
 )
 
 from corpus import BS_SPEC, CORPUS, PRODUCT_LISTS_SPEC, TEST_SPEC
-from type_support import erase_counters
+from type_support import erase_counters, vars_by_walk
 
 
 def test_prelude_contains_required_names(prelude):
@@ -152,7 +152,7 @@ class TestSharedPrelude:
 
     def test_prelude_scheme_variables(self, prelude):
         for scheme in prelude.entries.values():
-            assert scheme.variables == h.free_type_vars(scheme.body)
+            assert scheme.body.fv == vars_by_walk(scheme.body)
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_declared_scheme_variables(self, name):
@@ -164,7 +164,7 @@ class TestSharedPrelude:
             registry.register_function(spec)
         assert registry.entries
         for scheme in registry.entries.values():
-            assert scheme.variables == h.free_type_vars(scheme.body)
+            assert scheme.body.fv == vars_by_walk(scheme.body)
 
     def test_schemes_reject_counters(self, prelude):
         with pytest.raises(ValueError, match="never carry counters"):

@@ -1,10 +1,13 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
 import holtypes as h
 
 from conftest import substitutions, type_exprs
-from type_support import alpha_equivalent, erase_counters
+from type_support import alpha_equivalent, erase_counters, vars_by_walk
 
 nat = h.Prim("nat")
 bool_ = h.Prim("bool")
@@ -46,6 +49,64 @@ class TestModel:
             h.Var("a", -1)
 
 
+def _rebuilt(t):
+    """``t`` built again bottom-up from its fields, lists for tuples."""
+    if isinstance(t, h.Var):
+        return h.Var(t.name, t.counter)
+    if isinstance(t, h.Prim):
+        return h.Prim(t.name)
+    if isinstance(t, h.Fun):
+        return h.Fun([_rebuilt(p) for p in t.parts])
+    if isinstance(t, h.Tuple):
+        return h.Tuple(_rebuilt(t.left), _rebuilt(t.right))
+    return h.Constructed([_rebuilt(a) for a in t.args], t.ctor)
+
+
+class TestInterning:
+    """Hash-consing: building an equal type returns the one live object."""
+
+    @given(type_exprs(with_tuples=True))
+    def test_rebuilding_returns_the_same_object(self, t):
+        assert _rebuilt(t) is t
+        if isinstance(t, h.Fun) and len(t.parts) > 2:
+            assert h.Fun((t.parts[0], h.Fun(t.parts[1:]))) is t
+
+    @given(type_exprs(with_tuples=True))
+    def test_parsing_the_printed_type_returns_the_same_object(self, t):
+        assert h.parse_type(h.format_type(t)) is t
+
+    @given(substitutions(variables=[h.Var("z"), h.Var("b", 2)]), type_exprs(with_tuples=True))
+    def test_substitution_touching_no_variable_returns_the_same_object(self, s, t):
+        assert h.apply_subst(s, t) is t
+
+    @given(type_exprs(with_tuples=True))
+    def test_copy_deepcopy_and_pickle_return_the_same_object(self, t):
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    @given(type_exprs(with_tuples=True))
+    def test_types_are_immutable(self, t):
+        for name in (*t.__match_args__, "fv", "other"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, nat)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+
+    def test_bottom_is_one_object(self):
+        assert h.Bottom() is h.BOTTOM
+        assert pickle.loads(pickle.dumps(h.BOTTOM)) is h.BOTTOM
+        assert copy.deepcopy(h.BOTTOM) is h.BOTTOM
+
+    def test_repr_names_the_fields(self):
+        t = h.Fun((h.Tuple(a, nat), h.list_of(h.Var("b", 2)), bool_))
+        assert repr(t) == (
+            "Fun(parts=(Tuple(left=Var(name='a', counter=None), right=Prim(name='nat')), "
+            "Constructed(args=(Var(name='b', counter=2),), ctor='list'), Prim(name='bool')))"
+        )
+        assert repr(h.BOTTOM) == "Bottom()"
+
+
 class TestFreeTypeVars:
     def test_bare_variable(self):
         assert h.free_type_vars(a) == {a}
@@ -59,6 +120,10 @@ class TestFreeTypeVars:
 
     def test_bottom_is_empty(self):
         assert h.free_type_vars(h.BOTTOM) == frozenset()
+
+    @given(type_exprs(with_tuples=True))
+    def test_cached_set_matches_a_walk(self, t):
+        assert h.free_type_vars(t) == vars_by_walk(t)
 
 
 class TestApplySubst:

@@ -1,5 +1,5 @@
-"""Type helpers that only the tests need: counter erasure and
-alpha-equivalence."""
+"""Type helpers that only the tests need: counter erasure,
+alpha-equivalence, and free variables found by walking a type."""
 
 from holtypes.types import Bottom, Constructed, Fun, Prim, Tuple, Var
 
@@ -17,6 +17,20 @@ def erase_counters(t):
     if isinstance(t, Constructed):
         return Constructed(tuple(erase_counters(a) for a in t.args), t.ctor)
     raise TypeError(f"not a type expression: {t!r}")
+
+
+def vars_by_walk(t):
+    """The variables of ``t``, found by visiting every node: the reference
+    for each type's cached ``fv``."""
+    if isinstance(t, Var):
+        return {t}
+    if isinstance(t, Fun):
+        return set().union(*map(vars_by_walk, t.parts))
+    if isinstance(t, Tuple):
+        return vars_by_walk(t.left) | vars_by_walk(t.right)
+    if isinstance(t, Constructed):
+        return set().union(*map(vars_by_walk, t.args))
+    return set()
 
 
 def alpha_equivalent(t, s):
