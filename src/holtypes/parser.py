@@ -42,7 +42,7 @@ from .exprs import (
     walk,
 )
 from .types import (BUILTIN_UNARY_CTORS, Constructed, Fun, Prim, PRIMITIVE_NAMES, Tuple, TypeExpr,
-                    Var, free_type_vars)
+                    Var)
 
 KEYWORDS = frozenset(
     ["fun", "primrec", "datatype", "where", "if", "then", "else", "case", "of", "let", "in", "div"]
@@ -504,7 +504,7 @@ class _IdAllocator:
 
 
 def _validate_declared_type(t, tok):
-    if any(v.counter is not None for v in free_type_vars(t)):
+    if any(v.counter is not None for v in t.fv):
         raise ParseError(tok.line, tok.column,
                          "modification suffixes ('#') are reserved for the inference engine")
 
@@ -564,7 +564,7 @@ def _parse_datatype(ts, ids, known_ctors, declared):
                 break
         for at in arg_types:
             _validate_declared_type(at, ctor_tok)
-            stray = sorted(v.name for v in free_type_vars(at) if v.name not in param_set)
+            stray = sorted(v.name for v in at.fv if v.name not in param_set)
             if stray:
                 raise ParseError(ctor_tok.line, ctor_tok.column,
                                  f"type variable '{stray[0]} not among the datatype parameters")

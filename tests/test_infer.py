@@ -517,27 +517,36 @@ print(built[0])
 
 class TestScaling:
     def test_long_equation_builds_types_linearly(self, monkeypatch):
-        """Function and constructed types built while inferring one long
-        equation grow linearly with its length (4x the elements, under
-        6x the types), not with the length times the node count."""
-        built = [0]
+        """Inferring one long equation does work linear in its length (4x
+        the elements, under 6x the work), not the length times the node
+        count: both the function and constructed types built and the node
+        types written.  Types are interned, so a full-context rewrite
+        builds nothing new; the ``set_type`` count is what catches it."""
+        work = {"built": 0, "written": 0}
         for cls in (h.Fun, h.Constructed):
             # ``_fields`` runs once per interning-table miss.
             def fields(self, key, original=cls._fields):
-                built[0] += 1
+                work["built"] += 1
                 return original(self, key)
 
             monkeypatch.setattr(cls, "_fields", fields)
 
-        def built_by_inference(length):
+        def set_type(self, node_id, t, original=h.TypeContext.set_type):
+            work["written"] += 1
+            original(self, node_id, t)
+
+        monkeypatch.setattr(h.TypeContext, "set_type", set_type)
+
+        def work_of_inference(length):
             theory = h.parse_theory(long_equation(length))
-            built[0] = 0
+            work.update(built=0, written=0)
             result = h.infer_theory(theory)
             assert not result.diagnostics
-            return built[0]
+            return dict(work)
 
-        short, long = built_by_inference(100), built_by_inference(400)
-        assert long / short < 6, (short, long)
+        short, long = work_of_inference(100), work_of_inference(400)
+        for kind in work:
+            assert long[kind] / short[kind] < 6, (kind, short, long)
 
     def test_nested_partial_if_builds_types_linearly(self):
         """``f x = (If (x = 0) (If ... x))``: each partial ``If`` applies
