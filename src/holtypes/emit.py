@@ -4,10 +4,6 @@ with a type on every sub-expression, a JSON dump, and C++ type strings.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
-
 from .errors import RenderError
 from .exprs import (
     BINARY_OPS,
@@ -19,9 +15,11 @@ from .exprs import (
     LetInExpr,
     ListExpr,
     SetExpr,
+    Span,
     VarExpr,
     children,
 )
+from .records import Record
 from .types import (
     BOTTOM,
     Bottom,
@@ -166,12 +164,7 @@ def _node_doc(e, types):
     elif isinstance(e, LambdaExpr):
         doc["params"] = list(e.params)
     doc["type"] = format_type(types.get(e.node_id, BOTTOM))
-    doc["span"] = {
-        "line": e.span.line,
-        "column": e.span.column,
-        "end_line": e.span.end_line,
-        "end_column": e.span.end_column,
-    }
+    doc["span"] = {f: getattr(e.span, f) for f in Span.__match_args__}
     doc["children"] = [_node_doc(c, types) for c in children(e)]
     return doc
 
@@ -206,9 +199,13 @@ def dump_json(value):
     """``json.dumps(value, indent=2)``, byte for byte, for dicts with
     string keys, lists and scalars.  The standard library indents through
     closures that refer to each other, so each of its calls leaves a
-    reference cycle behind; this leaves none."""
+    reference cycle behind; this leaves none.  ``json`` is imported here,
+    so only the JSON path loads it."""
+    from json import dumps
+    from json.encoder import encode_basestring_ascii
+
     chunks = []
-    _json_chunks(value, "\n", chunks)
+    _json_chunks(value, "\n", chunks, encode_basestring_ascii, dumps)
     return "".join(chunks)
 
 
@@ -220,9 +217,9 @@ def json_array(texts):
     return "[\n  " + ",\n  ".join(t.replace("\n", "\n  ") for t in texts) + "\n]"
 
 
-def _json_chunks(value, newline, out):
+def _json_chunks(value, newline, out, quote, dumps):
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        out.append(quote(value))
     elif isinstance(value, int) and not isinstance(value, bool):
         out.append(int.__repr__(value))
     elif isinstance(value, (dict, list)) and value:
@@ -233,12 +230,12 @@ def _json_chunks(value, newline, out):
         for i, item in enumerate(value.items() if is_dict else value):
             out.append(sep if i else inner)
             if is_dict:
-                out.append(encode_basestring_ascii(item[0]) + ": ")
+                out.append(quote(item[0]) + ": ")
                 item = item[1]
-            _json_chunks(item, inner, out)
+            _json_chunks(item, inner, out, quote, dumps)
         out.append(newline + ("}" if is_dict else "]"))
     else:
-        out.append(json.dumps(value))
+        out.append(dumps(value))
 
 
 _DEFAULT_HEADS = {
@@ -250,12 +247,14 @@ _DEFAULT_HEADS = {
 }
 
 
-@dataclass
-class CppTypeMap:
+class CppTypeMap(Record):
     """Rendering templates per type head; positional placeholders take
     the rendered type arguments."""
 
-    heads: dict[str, str] = field(default_factory=lambda: dict(_DEFAULT_HEADS))
+    __slots__ = ("heads",)
+
+    def __init__(self, heads=None):
+        self.heads = dict(_DEFAULT_HEADS) if heads is None else heads
 
     def with_overrides(self, **heads):
         merged = dict(self.heads)

@@ -7,7 +7,7 @@ immutable by convention: inference keeps node types by id in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .records import Record
 
 INTEGRAL = "integral"
 BOOLEAN = "boolean"
@@ -20,72 +20,88 @@ BINARY_OPS = {"=": 1, "<": 1, "+": 2, "-": 2, "*": 3, "div": 3, "#": 4, "!": 5}
 RIGHT_ASSOC = frozenset(["#"])
 
 
-@dataclass
-class Span:
-    line: int
-    column: int
-    end_line: int
-    end_column: int
+class Span(Record):
+    __slots__ = ("line", "column", "end_line", "end_column")
+
+    def __init__(self, line, column, end_line, end_column):
+        self.line, self.column = line, column
+        self.end_line, self.end_column = end_line, end_column
 
     def to(self, other):
         return Span(self.line, self.column, other.end_line, other.end_column)
 
 
-@dataclass
-class Expr:
-    node_id: int
-    span: Span = field(default_factory=lambda: Span(0, 0, 0, 0), repr=False)
+class Expr(Record):
+    __slots__ = ("node_id", "span")
+
+    def __init__(self, node_id, span=None):
+        self.node_id, self.span = node_id, span or Span(0, 0, 0, 0)
 
     @property
     def kind(self):
         return type(self).__name__
 
 
-@dataclass
 class ConstExpr(Expr):
-    literal: str = ""
-    literal_kind: str = INTEGRAL  # INTEGRAL or BOOLEAN
+    __slots__ = ("literal", "literal_kind")
+
+    def __init__(self, node_id, span=None, literal="", literal_kind=INTEGRAL):
+        self.node_id, self.span = node_id, span or Span(0, 0, 0, 0)
+        self.literal, self.literal_kind = literal, literal_kind  # INTEGRAL or BOOLEAN
 
 
-@dataclass
 class VarExpr(Expr):
-    name: str = ""
+    __slots__ = ("name",)
+
+    def __init__(self, node_id, span=None, name=""):
+        self.node_id, self.span = node_id, span or Span(0, 0, 0, 0)
+        self.name = name
 
 
-@dataclass
 class AppExpr(Expr):
-    head: str = ""
-    args: list[Expr] = field(default_factory=list)
+    __slots__ = ("head", "args")
+
+    def __init__(self, node_id, span=None, head="", args=None):
+        self.node_id, self.span = node_id, span or Span(0, 0, 0, 0)
+        self.head, self.args = head, [] if args is None else args
 
 
-@dataclass
 class LambdaExpr(Expr):
-    params: list[str] = field(default_factory=list)
-    param_ids: list[int] = field(default_factory=list)
-    body: Expr = None
+    __slots__ = ("params", "param_ids", "body")
+
+    def __init__(self, node_id, span=None, params=None, param_ids=None, body=None):
+        self.node_id, self.span, self.body = node_id, span or Span(0, 0, 0, 0), body
+        self.params = [] if params is None else params
+        self.param_ids = [] if param_ids is None else param_ids
 
 
-@dataclass
 class CaseExpr(Expr):
-    scrutinee: Expr = None
-    branches: list[tuple[Expr, Expr]] = field(default_factory=list)
+    __slots__ = ("scrutinee", "branches")
+
+    def __init__(self, node_id, span=None, scrutinee=None, branches=None):
+        self.node_id, self.span = node_id, span or Span(0, 0, 0, 0)
+        self.scrutinee, self.branches = scrutinee, [] if branches is None else branches
 
 
-@dataclass
 class LetInExpr(Expr):
-    pattern: Expr = None
-    bound: Expr = None
-    body: Expr = None
+    __slots__ = ("pattern", "bound", "body")
+
+    def __init__(self, node_id, span=None, pattern=None, bound=None, body=None):
+        self.node_id, self.span = node_id, span or Span(0, 0, 0, 0)
+        self.pattern, self.bound, self.body = pattern, bound, body
 
 
-@dataclass
 class ListExpr(Expr):
-    elems: list[Expr] = field(default_factory=list)
+    __slots__ = ("elems",)
+
+    def __init__(self, node_id, span=None, elems=None):
+        self.node_id, self.span = node_id, span or Span(0, 0, 0, 0)
+        self.elems = [] if elems is None else elems
 
 
-@dataclass
 class SetExpr(Expr):
-    elems: list[Expr] = field(default_factory=list)
+    __slots__ = ("elems",)
+    __init__ = ListExpr.__init__
 
 
 def children(e):
@@ -108,10 +124,12 @@ def children(e):
 
 
 def walk(e):
-    """Yield ``e`` and every descendant, pre-order."""
-    yield e
-    for c in children(e):
-        yield from walk(c)
+    """Yield ``e`` and every descendant, pre-order, without recursing."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack += reversed(children(e))
 
 
 def binders(patterns, rhs):

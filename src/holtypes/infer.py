@@ -9,8 +9,6 @@ to the inferred one, which rewrites every node the substitution touches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     ConflictError,
     OccursError,
@@ -30,6 +28,7 @@ from .exprs import (
     binders,
     walk,
 )
+from .records import Record
 from .registry import SolverRegistry
 from .types import (
     BOTTOM,
@@ -54,11 +53,11 @@ UNKNOWN_NAME = "unknown-name"
 UNSUPPORTED = "unsupported"
 
 
-@dataclass
-class Diagnostic:
-    node_id: int
-    kind: str
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("node_id", "kind", "message")
+
+    def __init__(self, node_id, kind, message):
+        self.node_id, self.kind, self.message = node_id, kind, message
 
 
 def _kind_for(err):
@@ -71,13 +70,13 @@ def _kind_for(err):
     return MISMATCH
 
 
-@dataclass
-class TypedSpec:
+class TypedSpec(Record):
     """A function specification together with its inferred node types."""
 
-    spec: object
-    node_types: dict[int, object]
-    diagnostics: list[Diagnostic]
+    __slots__ = ("spec", "node_types", "diagnostics")
+
+    def __init__(self, spec, node_types, diagnostics):
+        self.spec, self.node_types, self.diagnostics = spec, node_types, diagnostics
 
     def type_of(self, node_id):
         return self.node_types.get(node_id)
@@ -398,18 +397,16 @@ def infer_spec(sess, f):
     return TypedSpec(f, node_types, list(sess.errors[diag_start:]))
 
 
-@dataclass
-class InferenceResult:
-    registry: SolverRegistry
-    typed_specs: list[TypedSpec]
-    trace: list[str] | None = field(repr=False, default=None)
+class InferenceResult(Record):
+    __slots__ = ("registry", "typed_specs", "trace")
+
+    def __init__(self, registry, typed_specs, trace=None):
+        self.registry, self.typed_specs = registry, typed_specs
+        self.trace = trace  # the rule lines, or None untraced
 
     @property
     def diagnostics(self):
-        out = []
-        for ts in self.typed_specs:
-            out.extend(ts.diagnostics)
-        return out
+        return [d for ts in self.typed_specs for d in ts.diagnostics]
 
 
 def infer_theory(theory, trace=False):

@@ -21,7 +21,6 @@ empty list ``[]`` and empty set ``{}`` lower to the nullary constructors
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import ArityMismatchError, DuplicateNameError, ParseError
 from .exprs import (
@@ -31,7 +30,6 @@ from .exprs import (
     BOOLEAN,
     ConstExpr,
     CaseExpr,
-    Expr,
     INTEGRAL,
     LambdaExpr,
     LetInExpr,
@@ -41,8 +39,8 @@ from .exprs import (
     VarExpr,
     walk,
 )
-from .types import (BUILTIN_UNARY_CTORS, Constructed, Fun, Prim, PRIMITIVE_NAMES, Tuple, TypeExpr,
-                    Var)
+from .records import Record
+from .types import BUILTIN_UNARY_CTORS, Constructed, Fun, Prim, PRIMITIVE_NAMES, Tuple, Var
 
 KEYWORDS = frozenset(
     ["fun", "primrec", "datatype", "where", "if", "then", "else", "case", "of", "let", "in", "div"]
@@ -53,14 +51,13 @@ BUILTIN_CTOR_NAMES = frozenset(["Cons", "Nil", "Some", "None", "EmptySet"])
 _SYMBOLS = ["=>", "::", "=", "<", "+", "-", "*", "#", "!", "|", "(", ")", "[", "]", "{", "}", ",", "."]
 
 
-@dataclass
-class Token:
-    kind: str  # IDENT TYVAR NUMBER STRING LAMBDA SYM EOF
-    value: str
-    line: int
-    column: int
-    end_line: int = 0
-    end_column: int = 0
+class Token(Record):
+    __slots__ = ("kind", "value", "line", "column", "end_line", "end_column")
+
+    def __init__(self, kind, value, line, column, end_line=0, end_column=0):
+        self.kind, self.value = kind, value  # kind: IDENT TYVAR NUMBER STRING LAMBDA SYM EOF
+        self.line, self.column = line, column
+        self.end_line, self.end_column = end_line, end_column
 
     def span(self):
         return Span(self.line, self.column, self.end_line, self.end_column)
@@ -114,20 +111,20 @@ def tokenize(text, line=1, column=1):
     return tokens
 
 
-@dataclass
-class DatatypeDecl:
-    name: str
-    type_params: list[str]
-    ctors: list[tuple[str, list[TypeExpr]]]
-    span: Span = field(default_factory=lambda: Span(0, 0, 0, 0), repr=False)
+class DatatypeDecl(Record):
+    __slots__ = ("name", "type_params", "ctors", "span")
+
+    def __init__(self, name, type_params, ctors, span=None):
+        self.name, self.type_params = name, type_params
+        self.ctors, self.span = ctors, span or Span(0, 0, 0, 0)  # ctors: [(name, [TypeExpr])]
 
 
-@dataclass
-class FunctionSpec:
-    name: str
-    declared_type: Fun
-    equations: list[tuple[list[Expr], Expr]]
-    span: Span = field(default_factory=lambda: Span(0, 0, 0, 0), repr=False)
+class FunctionSpec(Record):
+    __slots__ = ("name", "declared_type", "equations", "span")
+
+    def __init__(self, name, declared_type, equations, span=None):
+        self.name, self.declared_type = name, declared_type  # a Fun
+        self.equations, self.span = equations, span or Span(0, 0, 0, 0)  # [([pattern], rhs)]
 
     @property
     def param_types(self):
@@ -138,17 +135,17 @@ class FunctionSpec:
         return self.declared_type.parts[-1]
 
 
-@dataclass
-class TheoryFile:
-    datatypes: list[DatatypeDecl]
-    functions: list[FunctionSpec]
+class TheoryFile(Record):
+    __slots__ = ("datatypes", "functions")
+
+    def __init__(self, datatypes, functions):
+        self.datatypes, self.functions = datatypes, functions
 
     def all_exprs(self):
         for f in self.functions:
             for patterns, rhs in f.equations:
-                for p in patterns:
-                    yield from walk(p)
-                yield from walk(rhs)
+                for root in (*patterns, rhs):
+                    yield from walk(root)
 
 
 class _TokenStream:

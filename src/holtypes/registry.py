@@ -12,14 +12,13 @@ table and numbers its own instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import DuplicateNameError, UnknownNameError
+from .records import FrozenRecord
 from .types import (
     Constructed,
     Fun,
-    TypeExpr,
     Var,
     apply_bindings,
     format_type,
@@ -30,15 +29,17 @@ DATATYPE_DECL = "datatype_decl"
 FUNCTION_DECL = "function_decl"
 
 
-@dataclass(frozen=True)
-class TypeScheme:
-    body: TypeExpr
-    origin: str  # BUILTIN, DATATYPE_DECL or FUNCTION_DECL
+class TypeScheme(FrozenRecord):
+    """A type with its origin: BUILTIN, DATATYPE_DECL or FUNCTION_DECL."""
 
-    def __post_init__(self):
-        counted = sorted(format_type(v) for v in self.body.fv if v.counter is not None)
+    __slots__ = ("body", "origin")
+
+    def __init__(self, body, origin):
+        counted = sorted(format_type(v) for v in body.fv if v.counter is not None)
         if counted:
             raise ValueError(f"schemes never carry counters: {counted[0]}")
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "origin", origin)
 
 
 @cache

@@ -16,7 +16,8 @@ single-threaded.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+
+from .records import FrozenRecord
 
 PRIMITIVE_NAMES = ("nat", "bool", "int")
 
@@ -210,24 +211,23 @@ def free_type_vars(t):
     return t.fv
 
 
-@dataclass(frozen=True)
-class SubstitutionSet:
+class SubstitutionSet(FrozenRecord):
     """A set of bindings ``var := type`` applied pointwise to types.
 
     The mapping is kept idempotent: no domain variable occurs in any
     range type, and every binding passes the occurs check.
     """
 
-    bindings: dict[Var, TypeExpr] = field(default_factory=dict)
+    __slots__ = ("bindings",)
 
-    def __post_init__(self):
-        for var, t in self.bindings.items():
+    def __init__(self, bindings=None):
+        bindings = {} if bindings is None else bindings
+        for var, t in bindings.items():
             if var in t.fv:
                 raise ValueError(f"occurs check failed for {var} := {t}")
-            if not t.fv.isdisjoint(self.bindings):
-                raise ValueError(
-                    f"binding {var} := {t} mentions another domain variable"
-                )
+            if not t.fv.isdisjoint(bindings):
+                raise ValueError(f"binding {var} := {t} mentions another domain variable")
+        object.__setattr__(self, "bindings", bindings)
 
     def __len__(self):
         return len(self.bindings)

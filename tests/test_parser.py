@@ -215,6 +215,31 @@ class TestNodeIds:
             assert e.span.column >= 1
 
 
+def _walk_recursively(e):
+    """The recursive pre-order walk that ``exprs.walk`` replaced."""
+    yield e
+    for c in h.exprs.children(e):
+        yield from _walk_recursively(c)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_order_matches_a_recursive_walk(self, name):
+        for f in h.parse_theory(CORPUS[name]).functions:
+            for patterns, rhs in f.equations:
+                for root in (*patterns, rhs):
+                    assert list(map(id, walk(root))) == list(map(id, _walk_recursively(root)))
+
+    def test_deep_chain_walks_without_recursion(self):
+        depth = 5000
+        e = VarExpr(0, name="x")
+        for i in range(1, depth):
+            e = AppExpr(2 * i, head="+", args=[e, VarExpr(2 * i - 1, name="x")])
+        ids = [n.node_id for n in walk(e)]
+        # Down the left spine to the innermost x, then each right operand.
+        assert ids == [*range(2 * depth - 2, -1, -2), *range(1, 2 * depth - 2, 2)]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_print_then_reparse_preserves_structure(self, name):
