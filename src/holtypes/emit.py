@@ -222,7 +222,7 @@ def _json_chunks(value, newline, out, quote, dumps):
         out.append(quote(value))
     elif isinstance(value, int) and not isinstance(value, bool):
         out.append(int.__repr__(value))
-    elif isinstance(value, (dict, list)) and value:
+    elif isinstance(value, (dict, list)):
         inner = newline + "  "
         is_dict = isinstance(value, dict)
         out.append("{" if is_dict else "[")
@@ -233,7 +233,7 @@ def _json_chunks(value, newline, out, quote, dumps):
                 out.append(quote(item[0]) + ": ")
                 item = item[1]
             _json_chunks(item, inner, out, quote, dumps)
-        out.append(newline + ("}" if is_dict else "]"))
+        out.append((newline if value else "") + ("}" if is_dict else "]"))
     else:
         out.append(dumps(value))
 

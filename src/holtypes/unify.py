@@ -3,16 +3,17 @@ unification steps for applications and lambda abstractions.
 
 ``compare(t, s)`` decides whether ``t`` is at least as abstract as ``s``.
 The relation is not an ordering: it is symmetric on bare variables, and a
-variable is more abstract than any type it does not occur in.
+variable is more abstract than any type it does not occur in.  Given a
+``facts`` list, the walk also appends the irreducible facts ``var :=
+type`` it meets, left to right, and stops at the first incomparable part.
 
-``reduce(t, s)`` decomposes a valid relation into irreducible facts
-``var := type`` and solves them into one idempotent substitution set.
+``reduce(t, s)`` solves those facts into one idempotent substitution set.
 When two facts bind the same variable to different types, the bindings
 are reconciled by a recursive reduction before giving up.
 
 ``relate`` is the pipeline's one way from a relation to a substitution:
-it reduces in the first direction that holds, and each caller decides
-what a failure means.
+it walks each direction it tries once, reduces the facts of the first
+that holds, and each caller decides what a failure means.
 """
 
 from __future__ import annotations
@@ -44,45 +45,44 @@ class Relation(enum.Enum):
         return self is not Relation.INCOMPARABLE
 
 
-def _combine(relations):
-    if any(r is Relation.INCOMPARABLE for r in relations):
-        return Relation.INCOMPARABLE
-    if any(r is Relation.MORE_ABSTRACT_STRICT for r in relations):
-        return Relation.MORE_ABSTRACT_STRICT
-    return Relation.MORE_ABSTRACT
-
-
-def compare(t, s):
+def compare(t, s, facts=None):
     """Is ``t`` at least as abstract as ``s``?
 
     Variables are symmetric among themselves and strictly more abstract
     than anything else, subject to the occurs check.  Structural cases
     need the same shape on both sides and compare component-wise; the
-    result is strict as soon as one component is strict.
+    result is strict as soon as one component is strict.  Each ``var >=
+    type`` met on the way is appended to ``facts`` when one is given.
     """
     if isinstance(t, Bottom) or isinstance(s, Bottom):
         return Relation.INCOMPARABLE
     if t is s:
         return Relation.MORE_ABSTRACT
     if isinstance(t, Var):
-        if isinstance(s, Var):
-            return Relation.MORE_ABSTRACT
-        if t in s.fv:
+        loose = isinstance(s, Var)
+        if not loose and t in s.fv:
             return Relation.INCOMPARABLE
-        return Relation.MORE_ABSTRACT_STRICT
-    if isinstance(s, Var):
+        if facts is not None:
+            facts.append((t, s))
+        return Relation.MORE_ABSTRACT if loose else Relation.MORE_ABSTRACT_STRICT
+    if isinstance(t, Fun) and isinstance(s, Fun) and len(t.parts) == len(s.parts):
+        pairs = zip(t.parts, s.parts)
+    elif isinstance(t, Tuple) and isinstance(s, Tuple):
+        pairs = ((t.left, s.left), (t.right, s.right))
+    elif (isinstance(t, Constructed) and isinstance(s, Constructed)
+          and t.ctor == s.ctor and len(t.args) == len(s.args)):
+        pairs = zip(t.args, s.args)
+    else:
         return Relation.INCOMPARABLE
-    if isinstance(t, Fun) and isinstance(s, Fun):
-        if len(t.parts) != len(s.parts):
-            return Relation.INCOMPARABLE
-        return _combine([compare(a, b) for a, b in zip(t.parts, s.parts)])
-    if isinstance(t, Tuple) and isinstance(s, Tuple):
-        return _combine([compare(t.left, s.left), compare(t.right, s.right)])
-    if isinstance(t, Constructed) and isinstance(s, Constructed):
-        if t.ctor != s.ctor or len(t.args) != len(s.args):
-            return Relation.INCOMPARABLE
-        return _combine([compare(a, b) for a, b in zip(t.args, s.args)])
-    return Relation.INCOMPARABLE
+    rel = Relation.MORE_ABSTRACT
+    for a, b in pairs:
+        # Through the module global, so wrappers see the recursive calls.
+        r = compare(a, b, facts)
+        if r is Relation.INCOMPARABLE:
+            return r
+        if r is Relation.MORE_ABSTRACT_STRICT:
+            rel = r
+    return rel
 
 
 def _bind_priority(v):
@@ -97,15 +97,14 @@ def _bind_priority(v):
 
 
 def _decompose(t, s, facts):
-    """Split ``t >= s`` into irreducible (var, type) facts."""
+    """Split two bindings of one variable, ``t`` and ``s``, into the
+    irreducible (var, type) facts that reconcile them."""
     if t is s:
         return
     if isinstance(t, Var):
         facts.append((t, s))
         return
     if isinstance(s, Var):
-        # Only reachable through reconciliation; the initial relation never
-        # puts a bare variable on the concrete side alone.
         facts.append((s, t))
         return
     if isinstance(t, Fun) and isinstance(s, Fun):
@@ -141,14 +140,17 @@ def _decompose(t, s, facts):
 
 
 class _Solution:
-    """Accumulates variable bindings, kept idempotent throughout.
+    """Solves (var, type) facts into variable bindings, kept idempotent
+    throughout.
 
     The bindings are applied unvalidated while they grow; ``freeze``
     validates the finished set once.
     """
 
-    def __init__(self):
+    def __init__(self, facts):
         self.bindings = {}
+        for var, bound in facts:
+            self.absorb(var, bound)
 
     def resolve(self, t):
         return apply_bindings(self.bindings, t) if self.bindings else t
@@ -173,8 +175,10 @@ class _Solution:
             self._reconcile(var, rv, rt)
 
     def _reconcile(self, var, t1, t2):
+        facts = []
         try:
-            merged = _solve(t1, t2)
+            _decompose(t1, t2, facts)
+            merged = _Solution(facts).freeze()
         except UnificationError:
             raise ConflictError(var, t1, t2) from None
         for v2, t2_ in merged.bindings.items():
@@ -195,39 +199,34 @@ class _Solution:
         return SubstitutionSet(dict(self.bindings))
 
 
-def _solve(t, s):
-    facts = []
-    _decompose(t, s, facts)
-    sol = _Solution()
-    for var, bound in facts:
-        sol.absorb(var, bound)
-    return sol.freeze()
-
-
-def reduce(t, s):
+def reduce(t, s, facts=None):
     """Reduce the relation ``t >= s`` to a substitution set.
 
     The relation must hold (caller's responsibility); when it does not,
     the failure is a mismatch, or an occurs failure when the obstacle is
-    a variable occurring in the opposing composite type.
+    a variable occurring in the opposing composite type.  The ``facts`` of
+    a ``compare(t, s, facts)`` walk that held spare a second walk.
     """
-    rel = compare(t, s)
-    if rel is Relation.INCOMPARABLE:
-        if isinstance(t, Var) and t in s.fv:
-            raise OccursError(t, s)
-        raise MismatchError(t, s)
-    return _solve(t, s)
+    if facts is None:
+        facts = []
+        if compare(t, s, facts) is Relation.INCOMPARABLE:
+            if isinstance(t, Var) and t in s.fv:
+                raise OccursError(t, s)
+            raise MismatchError(t, s)
+    return _Solution(facts).freeze()
 
 
 def relate(t, s, both=True):
     """Reduce ``t >= s`` if it holds, else, with ``both``, ``s >= t`` if
     that holds; ``None`` when neither does.  A failed reduction raises
-    ``UnificationError``.  ``compare`` and ``reduce`` are read as module
-    globals on each call, so wrappers rebound over them see these calls."""
-    if compare(t, s).holds():
-        return reduce(t, s)
-    if both and compare(s, t).holds():
-        return reduce(s, t)
+    ``UnificationError``.  Each direction tried is walked once, and the
+    walk that holds collects the facts ``reduce`` solves.  ``compare`` and
+    ``reduce`` are read as module globals, so wrappers rebound over them
+    see these calls."""
+    for left, right in ((t, s), (s, t)) if both else ((t, s),):
+        facts = []
+        if compare(left, right, facts).holds():
+            return reduce(left, right, facts)
     return None
 
 

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import holtypes as h
 from holtypes.emit import CppTypeMap, annotated_type, dump_json, json_array
@@ -124,6 +124,10 @@ json_values = st.recursive(
 
 class TestDumpJson:
     @settings(max_examples=200, deadline=None)
+    @example([])
+    @example({})
+    @example([[], {}, [[]], [{}]])
+    @example({"children": [], "diagnostics": [], "doc": {"a": {}, "b": [[], {"c": []}]}})
     @given(json_values)
     def test_matches_the_standard_library(self, value):
         assert dump_json(value) == json.dumps(value, indent=2)

@@ -571,6 +571,27 @@ class TestScaling:
         assert at_16 <= 2 * at_8, (at_8, at_16)
 
 
+def _rebind(monkeypatch, original, wrapper):
+    """Rebind ``original`` to ``wrapper`` wherever a holtypes module holds
+    it, as the benchmark's tracer does."""
+    for module in [m for n, m in sys.modules.items()
+                   if n == "holtypes" or n.startswith("holtypes.")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, wrapper)
+
+
+def _check_corpus(tmp_path, capsys):
+    from holtypes import cli
+
+    assert len(CORPUS) == 23
+    for name, source in CORPUS.items():
+        path = tmp_path / f"{name}.thy"
+        path.write_text(source, encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+
+
 class TestCostBudget:
     def test_corpus_check_stays_within_call_budget(self, tmp_path, monkeypatch, capsys):
         """Machine-independent cost pin: ``check`` on the 23 corpus
@@ -578,7 +599,7 @@ class TestCostBudget:
         calls included) and scheme instantiations.  Every binding of
         ``compare`` in a holtypes module is wrapped, as the benchmark's
         tracer wraps it."""
-        from holtypes import cli, unify
+        from holtypes import unify
 
         calls = {"compare": 0, "instantiate": 0}
 
@@ -588,18 +609,65 @@ class TestCostBudget:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in [m for n, m in sys.modules.items()
-                       if n == "holtypes" or n.startswith("holtypes.")]:
-            for attr, value in list(vars(module).items()):
-                if value is unify.compare:
-                    monkeypatch.setattr(module, attr, counted("compare", value))
+        _rebind(monkeypatch, unify.compare, counted("compare", unify.compare))
         monkeypatch.setattr(h.SolverRegistry, "instantiate",
                             counted("instantiate", h.SolverRegistry.instantiate))
-        assert len(CORPUS) == 23
-        for name, source in CORPUS.items():
-            path = tmp_path / f"{name}.thy"
-            path.write_text(source, encoding="utf-8")
-            assert cli.main(["check", str(path)]) == 0
-        capsys.readouterr()
-        assert calls["compare"] <= 465, calls
+        _check_corpus(tmp_path, capsys)
+        assert calls["compare"] <= 251, calls
         assert calls["instantiate"] <= 86, calls
+
+    def test_corpus_relate_walks_each_direction_once(self, tmp_path, monkeypatch, capsys):
+        """Each ``relate`` on the corpus makes at most one top-level
+        ``compare`` walk per direction it tries, and exactly one when the
+        first direction holds (judged by the reference walker).  Outside
+        ``_Solution._reconcile``, nothing decomposes a pair a second time:
+        ``_decompose`` never runs."""
+        import unify_reference
+        from holtypes import unify
+
+        depth = {"compare": 0, "reconcile": 0}
+        walks, per_relate, outside_reconcile = [0], [], []
+
+        def compare(t, s, *facts):
+            walks[0] += depth["compare"] == 0
+            depth["compare"] += 1
+            try:
+                return original_compare(t, s, *facts)
+            finally:
+                depth["compare"] -= 1
+
+        def relate(t, s, both=True):
+            walks[0] = 0
+            try:
+                return original_relate(t, s, both)
+            finally:
+                first = unify_reference.compare(t, s).holds()
+                per_relate.append((walks[0], 1 if first or not both else 2, first))
+
+        def reconcile(self, *args):
+            depth["reconcile"] += 1
+            try:
+                return original_reconcile(self, *args)
+            finally:
+                depth["reconcile"] -= 1
+
+        def decompose(t, s, facts):
+            outside_reconcile.append(depth["reconcile"] == 0)
+            return original_decompose(t, s, facts)
+
+        original_compare, original_relate = unify.compare, unify.relate
+        original_reconcile, original_decompose = unify._Solution._reconcile, unify._decompose
+        _rebind(monkeypatch, original_compare, compare)
+        _rebind(monkeypatch, original_relate, relate)
+        _rebind(monkeypatch, original_decompose, decompose)
+        monkeypatch.setattr(unify._Solution, "_reconcile", reconcile)
+        _check_corpus(tmp_path, capsys)
+        assert len(per_relate) >= 150
+        assert any(not first for _, _, first in per_relate)
+        for walked, tried, first in per_relate:
+            assert walked <= tried
+            assert walked == 1 or not first
+        assert not any(outside_reconcile)
+        # The wrappers see a reconciliation when one happens.
+        unify.relate(h.Fun((a, a)), h.Fun((h.list_of(h.Var("b")), h.list_of(nat))))
+        assert outside_reconcile and not any(outside_reconcile)

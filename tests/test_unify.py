@@ -160,10 +160,10 @@ MIXED_VARS = [a, b, h.Var("a", 1), h.Var("q", 4), h.Var("lambda@0")]
 
 
 @st.composite
-def renamed_pairs(draw):
+def renamed_pairs(draw, with_tuples=False):
     """A type and a copy of it with its variables renamed, not necessarily
     injectively: pairs that often relate in both directions."""
-    t = draw(type_exprs(variables=MIXED_VARS))
+    t = draw(type_exprs(variables=MIXED_VARS, with_tuples=with_tuples))
     renaming = {v: draw(st.sampled_from(MIXED_VARS)) for v in sorted(h.free_type_vars(t), key=str)}
     return t, apply_bindings(renaming, t)
 
@@ -180,16 +180,47 @@ def outcome(fn, *args):
 
 def inline_relate(t, s, both):
     """The compare-then-reduce loop the pipeline repeated before ``relate``,
-    reducing with the reference solver."""
+    with the reference walker and solver."""
     for left, right in ((t, s), (s, t)) if both else ((t, s),):
-        if compare(left, right).holds():
+        if unify_reference.compare(left, right).holds():
             return unify_reference.reduce(left, right)
     return None
 
 
+def assert_walk_matches_reference(t, s):
+    """``compare`` gives the reference relation with and without a facts
+    list, and a walk that holds collects the reference decomposition's
+    facts, in its order."""
+    expected = unify_reference.compare(t, s)
+    facts = []
+    assert compare(t, s) is expected
+    assert compare(t, s, facts) is expected
+    if expected.holds():
+        reference_facts = []
+        unify_reference._decompose(t, s, reference_facts)
+        assert facts == reference_facts
+
+
 class TestAgainstReference:
-    """``reduce`` and ``relate`` against the solver and the inline loops
-    they replaced, kept verbatim in ``tests/unify_reference.py``."""
+    """``compare``, ``reduce`` and ``relate`` against the walker, the solver
+    and the inline loops they replaced, kept verbatim in
+    ``tests/unify_reference.py``."""
+
+    @settings(max_examples=400)
+    @example(h.BOTTOM, a)
+    @example(h.Fun((a, h.list_of(a))), h.Fun((b, h.list_of(nat))))
+    @example(h.Tuple(a, h.Var("q", 4)), h.Tuple(nat, b))
+    @given(type_exprs(variables=MIXED_VARS, with_tuples=True),
+           type_exprs(variables=MIXED_VARS, with_tuples=True))
+    def test_compare_matches_reference(self, t, s):
+        assert_walk_matches_reference(t, s)
+
+    @settings(max_examples=200)
+    @given(renamed_pairs(with_tuples=True))
+    def test_compare_matches_reference_on_renamings(self, pair):
+        t, s = pair
+        assert_walk_matches_reference(t, s)
+        assert_walk_matches_reference(s, t)
 
     @settings(max_examples=400)
     @given(type_exprs(variables=MIXED_VARS), type_exprs(variables=MIXED_VARS))

@@ -1,17 +1,115 @@
-"""The solver that ``holtypes.unify.relate`` was introduced beside.
+"""The walker and solver that ``holtypes.unify.relate`` was introduced beside.
 
-A reference for the differential tests in ``test_unify.py``: ``_Solution``,
-``_solve`` and ``reduce`` below are the code as it stood before ``relate``
-took over orienting relations and ``_Solution.absorb`` lost its two
-unreachable branches, unchanged, so the current solver can be compared
-with it binding for binding.  Not used by holtypes itself.
+A reference for the differential tests in ``test_unify.py``: ``_combine``,
+``compare`` and ``_decompose`` below are the relation and the decomposition
+as they stood before ``compare`` learned to collect facts as it walks, and
+``_Solution``, ``_solve`` and ``reduce`` the solver as it stood before
+``relate`` took over orienting relations and ``_Solution.absorb`` lost its
+two unreachable branches, all unchanged, so the current walker and solver
+can be compared with them fact for fact and binding for binding.  Not used
+by holtypes itself.
 """
 
 from __future__ import annotations
 
 from holtypes.errors import ConflictError, MismatchError, OccursError, UnificationError
-from holtypes.types import Bottom, Prim, SubstitutionSet, Var, apply_bindings, free_type_vars
-from holtypes.unify import Relation, _bind_priority, _decompose, compare
+from holtypes.types import (
+    Bottom,
+    Constructed,
+    Fun,
+    Prim,
+    SubstitutionSet,
+    Tuple,
+    Var,
+    apply_bindings,
+    free_type_vars,
+)
+from holtypes.unify import Relation, _bind_priority
+
+
+def _combine(relations):
+    if any(r is Relation.INCOMPARABLE for r in relations):
+        return Relation.INCOMPARABLE
+    if any(r is Relation.MORE_ABSTRACT_STRICT for r in relations):
+        return Relation.MORE_ABSTRACT_STRICT
+    return Relation.MORE_ABSTRACT
+
+
+def compare(t, s):
+    """Is ``t`` at least as abstract as ``s``?
+
+    Variables are symmetric among themselves and strictly more abstract
+    than anything else, subject to the occurs check.  Structural cases
+    need the same shape on both sides and compare component-wise; the
+    result is strict as soon as one component is strict.
+    """
+    if isinstance(t, Bottom) or isinstance(s, Bottom):
+        return Relation.INCOMPARABLE
+    if t is s:
+        return Relation.MORE_ABSTRACT
+    if isinstance(t, Var):
+        if isinstance(s, Var):
+            return Relation.MORE_ABSTRACT
+        if t in s.fv:
+            return Relation.INCOMPARABLE
+        return Relation.MORE_ABSTRACT_STRICT
+    if isinstance(s, Var):
+        return Relation.INCOMPARABLE
+    if isinstance(t, Fun) and isinstance(s, Fun):
+        if len(t.parts) != len(s.parts):
+            return Relation.INCOMPARABLE
+        return _combine([compare(a, b) for a, b in zip(t.parts, s.parts)])
+    if isinstance(t, Tuple) and isinstance(s, Tuple):
+        return _combine([compare(t.left, s.left), compare(t.right, s.right)])
+    if isinstance(t, Constructed) and isinstance(s, Constructed):
+        if t.ctor != s.ctor or len(t.args) != len(s.args):
+            return Relation.INCOMPARABLE
+        return _combine([compare(a, b) for a, b in zip(t.args, s.args)])
+    return Relation.INCOMPARABLE
+
+
+def _decompose(t, s, facts):
+    """Split ``t >= s`` into irreducible (var, type) facts."""
+    if t is s:
+        return
+    if isinstance(t, Var):
+        facts.append((t, s))
+        return
+    if isinstance(s, Var):
+        # Only reachable through reconciliation; the initial relation never
+        # puts a bare variable on the concrete side alone.
+        facts.append((s, t))
+        return
+    if isinstance(t, Fun) and isinstance(s, Fun):
+        # Canonical flattening makes structural equality curried equality,
+        # so unequal part counts group the longer tail against the last
+        # component of the shorter type.
+        tp, sp = t.parts, s.parts
+        if len(tp) != len(sp):
+            if len(tp) < len(sp):
+                tp, sp = sp, tp
+            m = len(sp)
+            for a, b in zip(tp[: m - 1], sp[: m - 1]):
+                _decompose(a, b, facts)
+            _decompose(Fun(tp[m - 1 :]), sp[m - 1], facts)
+            return
+        for a, b in zip(tp, sp):
+            _decompose(a, b, facts)
+        return
+    if isinstance(t, Tuple) and isinstance(s, Tuple):
+        _decompose(t.left, s.left, facts)
+        _decompose(t.right, s.right, facts)
+        return
+    if (
+        isinstance(t, Constructed)
+        and isinstance(s, Constructed)
+        and t.ctor == s.ctor
+        and len(t.args) == len(s.args)
+    ):
+        for a, b in zip(t.args, s.args):
+            _decompose(a, b, facts)
+        return
+    raise MismatchError(t, s)
 
 
 class _Solution:
