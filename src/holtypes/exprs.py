@@ -27,9 +27,6 @@ class Span(Record):
         self.line, self.column = line, column
         self.end_line, self.end_column = end_line, end_column
 
-    def to(self, other):
-        return Span(self.line, self.column, other.end_line, other.end_column)
-
 
 class Expr(Record):
     __slots__ = ("node_id", "span")

@@ -6,8 +6,10 @@ strings and are re-lexed with their file position preserved, so
 diagnostics point at the real location.
 
 The lexical rules are defined in one place, the ``_TOKEN_RE`` pattern:
-one named group per token kind, tried in order at each position.  Only
-nested comments need code of their own.
+leading whitespace, then one named group per token kind, the first that
+matches winning.  Each token costs one match, and positions are
+recounted only across the whitespace, strings and comments that hold a
+line break.  Only nested comments need code of their own.
 
 Application by juxtaposition (arguments are atoms) binds tightest; the
 binary operators bind and associate as ``exprs.BINARY_OPS`` and
@@ -59,15 +61,13 @@ class Token(Record):
         self.line, self.column = line, column
         self.end_line, self.end_column = end_line, end_column
 
-    def span(self):
-        return Span(self.line, self.column, self.end_line, self.end_column)
 
-
-# The lexical rules, tried in this order at each position.  ``\w`` is a
+# The lexical rules: optional whitespace (NL if it holds a line break),
+# then the first of these alternatives that matches.  ``\w`` is a
 # character for which ``str.isalnum`` holds, or ``_``; ``\d`` is a decimal
-# digit (``str.isdecimal``).  WS and COMMENT produce no token.
-_TOKEN_RE = re.compile("|".join([
-    r"(?P<WS>[ \t\r\n]+)",
+# digit (``str.isdecimal``).  COMMENT produces no token; EOF matches only
+# at the end of the text, and ERROR at any character no rule accepts.
+_TOKEN_RE = re.compile(r"[ \t\r]*(?P<NL>\n[ \t\r\n]*)?(?:" + "|".join([
     r"(?P<COMMENT>\(\*)",
     r'(?P<STRING>"[^"]*")',
     r"(?P<LAMBDA>\\<lambda>|%)",
@@ -75,7 +75,10 @@ _TOKEN_RE = re.compile("|".join([
     r"(?P<NUMBER>\d+)",
     r"(?P<IDENT>[^\W\d][\w'@]*)",
     "(?P<SYM>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
-]))
+    r"(?P<EOF>\Z)",
+    r"(?P<ERROR>.)",
+]) + ")")
+_PLAIN = frozenset(["IDENT", "SYM", "NUMBER", "LAMBDA"])  # value is the matched text
 _COMMENT_RE = re.compile(r"\(\*|\*\)")
 _NO_MATCH = {'"': "unterminated string", "'": "expected a type variable name after '"}
 
@@ -83,32 +86,50 @@ _NO_MATCH = {'"': "unterminated string", "'": "expected a type variable name aft
 def tokenize(text, line=1, column=1):
     """Lex ``text`` into tokens, starting at the given file position."""
     tokens = []
+    match = _TOKEN_RE.match
+    # The column of offset k on the current line is k + shift.  ``column``
+    # is the end column of the last token or comment, which ended at ``i``;
+    # a token that starts there shares that int object.
+    shift = column
     i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(line, column, _NO_MATCH.get(text[i], f"unexpected character {text[i]!r}"))
-        kind, j = m.lastgroup, m.end()
-        depth = 1 if kind == "COMMENT" else 0
-        while depth:
-            delim = _COMMENT_RE.search(text, j)
-            if delim is None:
-                raise ParseError(line, column, "unterminated comment")
-            depth += 1 if delim.group() == "(*" else -1
-            j = delim.end()
-        newlines = text.count("\n", i, j)
-        end_line = line + newlines
-        end_column = j - text.rindex("\n", i, j) if newlines else column + j - i
-        if kind not in ("WS", "COMMENT"):
-            value = text[i:j]
+    while True:
+        m = match(text, i)
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        if start != i:  # after whitespace
+            if m["NL"] is not None:
+                line += text.count("\n", i, start)
+                shift = -text.rindex("\n", i, start)
+            column = start + shift
+        if kind in _PLAIN:
+            end_column = end + shift
+            tokens.append(Token(kind, text[start:end], line, column, line, end_column))
+        elif kind == "STRING" or kind == "COMMENT":
+            if kind == "COMMENT":
+                depth = 1
+                while depth:
+                    delim = _COMMENT_RE.search(text, end)
+                    if delim is None:
+                        raise ParseError(line, column, "unterminated comment")
+                    depth += 1 if delim.group() == "(*" else -1
+                    end = delim.end()
+            start_line = line
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                shift = -text.rindex("\n", start, end)
+            end_column = end + shift
             if kind == "STRING":
-                value = value[1:-1]
-            elif kind == "TYVAR":
-                value = value[1:]
-            tokens.append(Token(kind, value, line, column, end_line, end_column))
-        i, line, column = j, end_line, end_column
-    tokens.append(Token("EOF", "", line, column, line, column))
-    return tokens
+                tokens.append(Token(kind, text[start + 1:end - 1], start_line, column, line, end_column))
+        elif kind == "TYVAR":
+            end_column = end + shift
+            tokens.append(Token(kind, text[start + 1:end], line, column, line, end_column))
+        elif kind == "EOF":
+            tokens.append(Token(kind, "", line, column, line, column))
+            return tokens
+        else:
+            raise ParseError(line, column, _NO_MATCH.get(text[start], f"unexpected character {text[start]!r}"))
+        i, column = end, end_column
 
 
 class DatatypeDecl(Record):
@@ -148,28 +169,32 @@ class TheoryFile(Record):
                     yield from walk(root)
 
 
+def _span(first, last):
+    """The span from the start of ``first`` to the end of ``last``, each a
+    token or a span."""
+    return Span(first.line, first.column, last.end_line, last.end_column)
+
+
 class _TokenStream:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-
-    @property
-    def cur(self):
-        return self.tokens[self.pos]
+        self.cur = tokens[0]
 
     def next(self):
-        tok = self.tokens[self.pos]
+        tok = self.cur
         if tok.kind != "EOF":
             self.pos += 1
+            self.cur = self.tokens[self.pos]
         return tok
 
-    def match_sym(self, *values):
-        if self.cur.kind == "SYM" and self.cur.value in values:
+    def match_sym(self, value):
+        if self.cur.kind == "SYM" and self.cur.value == value:
             return self.next()
         return None
 
-    def match_kw(self, *words):
-        if self.cur.kind == "IDENT" and self.cur.value in words:
+    def match_kw(self, word):
+        if self.cur.kind == "IDENT" and self.cur.value == word:
             return self.next()
         return None
 
@@ -215,34 +240,26 @@ def _parse_type_primary(ts):
                 raise ParseError(num.line, num.column, "expected a counter after '#'")
             ts.next()
             counter = int(num.value)
-        return [Var(name, counter)], False
+        return [Var(name, counter)]
     if tok.kind == "IDENT":
         ts.next()
         if tok.value in PRIMITIVE_NAMES:
-            return [Prim(tok.value)], False
-        return [Constructed((), tok.value)], False
+            return [Prim(tok.value)]
+        return [Constructed((), tok.value)]
     if tok.kind == "SYM" and tok.value == "(":
         ts.next()
         parts = [_parse_type_expr(ts)]
         while ts.match_sym(","):
             parts.append(_parse_type_expr(ts))
         ts.expect_sym(")")
-        return parts, True
+        return parts
     raise ParseError(tok.line, tok.column, f"expected a type, found {tok.value or tok.kind!r}")
 
 
 def _parse_type_postfix(ts):
-    parts, grouped = _parse_type_primary(ts)
-    first = True
+    parts = _parse_type_primary(ts)
     while ts.cur.kind == "IDENT" and ts.cur.value not in KEYWORDS:
-        ctor = ts.next().value
-        if first and grouped:
-            parts = [Constructed(tuple(parts), ctor)]
-        else:
-            if len(parts) != 1:
-                break
-            parts = [Constructed((parts[0],), ctor)]
-        first = False
+        parts = [Constructed(tuple(parts), ts.next().value)]
     if len(parts) == 1:
         return parts[0]
     if len(parts) == 2:
@@ -300,7 +317,7 @@ class _ExprParser:
             while self._at_pattern_atom():
                 args.append(self.parse_pattern_atom())
             if args:
-                span = head.span().to(args[-1].span)
+                span = _span(head, args[-1].span)
                 return AppExpr(self.fresh(), span, head=head.value, args=args)
             return self._name(head)
         return self.parse_pattern_atom()
@@ -314,15 +331,15 @@ class _ExprParser:
     def _name(self, tok):
         # A bare constructor name is a nullary construction, not a variable.
         if tok.value in self.known_ctors:
-            return AppExpr(self.fresh(), tok.span(), head=tok.value, args=[])
-        return VarExpr(self.fresh(), tok.span(), name=tok.value)
+            return AppExpr(self.fresh(), _span(tok, tok), head=tok.value, args=[])
+        return VarExpr(self.fresh(), _span(tok, tok), name=tok.value)
 
     def _literal(self, tok):
         """The integer or boolean literal at ``tok``, consumed, or None."""
         if tok.kind == "NUMBER" or (tok.kind == "IDENT" and tok.value in ("True", "False")):
             self.ts.next()
             kind = INTEGRAL if tok.kind == "NUMBER" else BOOLEAN
-            return ConstExpr(self.fresh(), tok.span(), literal=tok.value, literal_kind=kind)
+            return ConstExpr(self.fresh(), _span(tok, tok), literal=tok.value, literal_kind=kind)
         return None
 
     def parse_pattern_atom(self):
@@ -339,7 +356,7 @@ class _ExprParser:
             self.ts.next()
             inner = self.parse_pattern()
             close = self.ts.expect_sym(")")
-            inner.span = tok.span().to(close.span())
+            inner.span = _span(tok, close)
             return inner
         if tok.kind == "SYM" and tok.value == "[":
             return self._bracketed("[", "]", ListExpr, "Nil", self.parse_pattern)
@@ -356,7 +373,7 @@ class _ExprParser:
             while self.ts.match_sym(","):
                 elems.append(parse_elem())
         close = self.ts.expect_sym(close_sym)
-        span = open_tok.span().to(close.span())
+        span = _span(open_tok, close)
         if not elems:
             return AppExpr(self.fresh(), span, head=empty_ctor, args=[])
         return node_cls(self.fresh(), span, elems=elems)
@@ -385,7 +402,7 @@ class _ExprParser:
         self.ts.expect_sym(".", "'.' after lambda parameters")
         body = self.parse_expr()
         param_ids = [self.fresh() for _ in params]
-        return LambdaExpr(self.fresh(), lam.span().to(body.span),
+        return LambdaExpr(self.fresh(), _span(lam, body.span),
                           params=params, param_ids=param_ids, body=body)
 
     def parse_let(self):
@@ -395,7 +412,7 @@ class _ExprParser:
         bound = self.parse_expr()
         self.ts.expect_kw("in")
         body = self.parse_expr()
-        return LetInExpr(self.fresh(), kw.span().to(body.span),
+        return LetInExpr(self.fresh(), _span(kw, body.span),
                          pattern=pattern, bound=bound, body=body)
 
     def parse_case(self):
@@ -410,7 +427,7 @@ class _ExprParser:
             branches.append((pattern, body))
             if not self.ts.match_sym("|"):
                 break
-        span = kw.span().to(branches[-1][1].span)
+        span = _span(kw, branches[-1][1].span)
         return CaseExpr(self.fresh(), span, scrutinee=scrutinee, branches=branches)
 
     def parse_if(self):
@@ -421,7 +438,7 @@ class _ExprParser:
         self.ts.expect_kw("else")
         otherwise = self.parse_expr()
         # One inference path for both spellings: If is an ordinary builtin.
-        span = kw.span().to(otherwise.span)
+        span = _span(kw, otherwise.span)
         return AppExpr(self.fresh(), span, head="If", args=[cond, then, otherwise])
 
     def parse_binary(self, parse_operand, ops=BINARY_OPS, min_level=1):
@@ -437,7 +454,7 @@ class _ExprParser:
             self.ts.next()
             right = self.parse_binary(parse_operand, ops,
                                       level if tok.value in RIGHT_ASSOC else level + 1)
-            left = AppExpr(self.fresh(), left.span.to(right.span), head=tok.value, args=[left, right])
+            left = AppExpr(self.fresh(), _span(left.span, right.span), head=tok.value, args=[left, right])
 
     def parse_app(self):
         tok = self.ts.cur
@@ -447,7 +464,7 @@ class _ExprParser:
             while self._at_atom():
                 args.append(self.parse_atom())
             if args:
-                return AppExpr(self.fresh(), head.span().to(args[-1].span),
+                return AppExpr(self.fresh(), _span(head, args[-1].span),
                                head=head.value, args=args)
             return self._name(head)
         atom = self.parse_atom()
@@ -478,7 +495,7 @@ class _ExprParser:
                 raise ParseError(self.ts.cur.line, self.ts.cur.column,
                                  "tuple expressions are not supported")
             close = self.ts.expect_sym(")")
-            inner.span = tok.span().to(close.span())
+            inner.span = _span(tok, close)
             return inner
         if tok.kind == "SYM" and tok.value == "[":
             return self._bracketed("[", "]", ListExpr, "Nil", self.parse_expr)
@@ -570,7 +587,7 @@ def _parse_datatype(ts, ids, known_ctors, declared):
         known_ctors.add(ctor_tok.value)
         if not ts.match_sym("|"):
             break
-    return DatatypeDecl(name, type_params, ctors, kw.span().to(ts.tokens[ts.pos - 1].span()))
+    return DatatypeDecl(name, type_params, ctors, _span(kw, ts.tokens[ts.pos - 1]))
 
 
 def _parse_equation(text, line, column, ids, known_ctors):
@@ -628,7 +645,7 @@ def _parse_function(ts, ids, known_ctors, declared):
         if not ts.match_sym("|"):
             break
     return FunctionSpec(name, declared_type, equations,
-                        kw.span().to(ts.tokens[ts.pos - 1].span()))
+                        _span(kw, ts.tokens[ts.pos - 1]))
 
 
 def parse_theory(text):

@@ -353,3 +353,29 @@ def test_earlier_function_does_not_renumber_instances(theory_file, capsys):
     after_g = capsys.readouterr().out
     assert alone == "f\nf (x :: nat) = ((length (Nil :: ('a#0 )list)) :: nat)\n"
     assert after_g.startswith("g\n") and after_g.endswith("\n\n" + alone)
+
+
+def test_unparenthesised_lambda_argument_and_primitive_constructor_argument(theory_file, capsys):
+    """``map %y. ...`` takes the lambda as an atom that runs to the closing
+    parenthesis; ``Box nat`` is a constructor with an unquoted primitive
+    argument type."""
+    source = (
+        "datatype box = Box nat\n"
+        'fun unbox :: "box => nat" where "unbox (Box n) = n"\n'
+        'fun at0 :: "(nat list => nat list) => nat list" where "at0 h = h [0]"\n'
+        'fun f :: "nat => nat list" where "f x = at0 (map %y. y + x)"\n'
+    )
+    assert main(["annotate", theory_file(source)]) == 0
+    nats = "(nat )list"
+    assert capsys.readouterr() == (
+        "unbox\n"
+        "unbox ((Box (n :: nat)) :: box) = (n :: nat)\n"
+        "\n"
+        "at0\n"
+        f"at0 (h :: ({nats} => {nats})) = ((h ([(0 :: nat)] :: {nats})) :: {nats})\n"
+        "\n"
+        "f\n"
+        "f (x :: nat) = ((at0 ((map (\\<lambda>y.(((y :: nat) + (x :: nat)) :: nat) :: (nat => nat))) "
+        f":: ({nats} => {nats}))) :: {nats})\n",
+        "",
+    )

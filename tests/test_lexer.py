@@ -46,12 +46,42 @@ def lex(tokenize_fn, text, line=1, column=1):
 @example(text="\tfun\t f ::\t\"nat\"", line=1, column=5)
 @example(text="datatype t = A\n", line=1, column=1)
 @example(text="x (* open (* nested *)\n", line=2, column=1)
+@example(text="a\n \t~ b", line=4, column=9)  # error after a line break in whitespace
+@example(text='f "a\n  b"c "d\ne" g', line=2, column=3)  # token on a string's closing line
+@example(text="(* a\n b *)c (*\n*)\n d", line=1, column=4)  # token after a multi-line comment
+@example(text="f x\r\n  = y\r\n\r\nz", line=1, column=1)
+@example(text="", line=3, column=5)
+@example(text=" \t\r", line=1, column=7)
+@example(text=" \n ", line=2, column=300)
 def test_same_tokens_as_the_reference(text, line, column):
+    assert lex(tokenize, text, line, column) == lex(lexer_reference.tokenize, text, line, column)
+
+
+# The pieces that move the line number, and the comment closer.
+LINE_PIECES = ["\n", "\r\n", '"', "(*", "*)"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.lists(st.one_of(st.sampled_from(LINE_PIECES), st.sampled_from(PIECES)), max_size=30)
+    .map("".join),
+    line=st.integers(1, 1000),
+    column=st.integers(1, 400),
+)
+def test_line_breaks_in_strings_and_comments_match_the_reference(text, line, column):
     assert lex(tokenize, text, line, column) == lex(lexer_reference.tokenize, text, line, column)
 
 
 def test_eof_after_a_trailing_newline_starts_the_next_line():
     assert lex(tokenize, "x\n") == [("IDENT", "x", 1, 1, 1, 2), ("EOF", "", 2, 1, 2, 1)]
+
+
+def test_adjacent_tokens_share_one_int_for_their_boundary_column():
+    """CPython caches no int above 256, so each token of a long line that
+    starts where the last one ended reuses that token's end column."""
+    tokens = tokenize("f(x)#[y]", 1, 1000)
+    assert [t.value for t in tokens] == ["f", "(", "x", ")", "#", "[", "y", "]", ""]
+    assert all(a.end_column is b.column for a, b in zip(tokens, tokens[1:]))
 
 
 def eof(column):

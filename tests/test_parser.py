@@ -17,10 +17,12 @@ from holtypes.exprs import (
     LambdaExpr,
     ListExpr,
     SetExpr,
+    Span,
     VarExpr,
     equal_modulo_ids,
     walk,
 )
+from holtypes.parser import tokenize
 
 from corpus import BS_SPEC, CORPUS, TEST_SPEC
 
@@ -324,3 +326,39 @@ def test_printed_expression_reparses_to_the_same_tree(expr):
 def _with_datatypes(source, line):
     datatype_lines = [ln for ln in source.splitlines() if ln.strip().startswith("datatype")]
     return "\n".join(datatype_lines + [line])
+
+
+def _equation_paren_groups(source):
+    """The '(' tokens inside a theory's equation strings: the strings
+    that follow ``where`` or ``|``."""
+    tokens = tokenize(source)
+    return sum(
+        t.kind == "SYM" and t.value == "("
+        for prev, tok in zip(tokens, tokens[1:])
+        if tok.kind == "STRING" and prev.value in ("where", "|")
+        for t in tokenize(tok.value)
+    )
+
+
+class TestCostBudget:
+    def test_corpus_parse_builds_one_span_per_node(self, monkeypatch):
+        """Machine-independent cost pin: parsing the 23 corpus theories
+        builds at most one ``Span`` per AST node and per declaration, plus
+        one per parenthesised group, whose node gets a span that covers
+        the parentheses."""
+        assert len(CORPUS) == 23
+        groups = sum(_equation_paren_groups(source) for source in CORPUS.values())
+        built = [0]
+        init = Span.__init__
+
+        def counted(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Span, "__init__", counted)
+        theories = [h.parse_theory(source) for source in CORPUS.values()]
+        monkeypatch.undo()
+        nodes = sum(1 for t in theories for _ in t.all_exprs())
+        decls = sum(len(t.datatypes) + len(t.functions) for t in theories)
+        assert (nodes, decls, groups) == (232, 26, 41)
+        assert built[0] <= nodes + decls + groups, built[0]

@@ -60,3 +60,8 @@ def test_traced_corpus_fires_every_wrapper_and_parses_no_prelude(tmp_path):
     assert tracer.labels - tracer.fired == set()
     assert counts["registry.prelude_calls"] == ops
     assert counts["registry.parse_type_calls"] == 0
+    # The 23 theories lex to 799 tokens in 80 ``tokenize`` calls, in each of
+    # the 4 modes.  The count is ``len`` of what the module-global ``tokenize``
+    # returns, so a lexer that returns an unsized result or is called
+    # another way fails here.
+    assert counts["parser.tokens"] == 4 * 799
