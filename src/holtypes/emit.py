@@ -1,5 +1,6 @@
 """Renderers for typed specifications: plain source text, annotated text
 with a type on every sub-expression, a JSON dump, and C++ type strings.
+The JSON and C++ renderers each take one walk of what they render.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .exprs import (
     LetInExpr,
     ListExpr,
     SetExpr,
-    Span,
     VarExpr,
     children,
 )
@@ -152,90 +152,74 @@ def emit_annotated(typed_spec):
     return "\n".join(lines)
 
 
-def _node_doc(e, types):
-    doc = {"node_id": e.node_id, "kind": e.kind}
-    if isinstance(e, ConstExpr):
-        doc["literal"] = e.literal
-        doc["literal_kind"] = e.literal_kind
-    elif isinstance(e, VarExpr):
-        doc["name"] = e.name
-    elif isinstance(e, AppExpr):
-        doc["head"] = e.head
-    elif isinstance(e, LambdaExpr):
-        doc["params"] = list(e.params)
-    doc["type"] = format_type(types.get(e.node_id, BOTTOM))
-    doc["span"] = {f: getattr(e.span, f) for f in Span.__match_args__}
-    doc["children"] = [_node_doc(c, types) for c in children(e)]
-    return doc
+def _node_json(root, newline, types, out, quote):
+    """Append ``root``'s node document to ``out`` as ``json.dumps(doc,
+    indent=2)`` writes it at the indentation of ``newline``.  A stack of
+    pending nodes and closing strings stands in for recursion."""
+    stack = [(root, newline)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        e, nl = item
+        inner, deeper = nl + "  ", nl + "    "
+        sep = "," + inner
+        out.append(f'{{{inner}"node_id": {e.node_id}{sep}"kind": {quote(e.kind)}')
+        if isinstance(e, ConstExpr):
+            out.append(f'{sep}"literal": {quote(e.literal)}{sep}"literal_kind": {quote(e.literal_kind)}')
+        elif isinstance(e, VarExpr):
+            out.append(f'{sep}"name": {quote(e.name)}')
+        elif isinstance(e, AppExpr):
+            out.append(f'{sep}"head": {quote(e.head)}')
+        elif isinstance(e, LambdaExpr):
+            params = ("," + deeper).join(map(quote, e.params))
+            out.append(f'{sep}"params": [{deeper}{params}{inner}]' if params else f'{sep}"params": []')
+        s = e.span
+        out.append(f'{sep}"type": {quote(format_type(types.get(e.node_id, BOTTOM)))}{sep}"span": {{'
+                   f'{deeper}"line": {s.line},{deeper}"column": {s.column},{deeper}"end_line": '
+                   f'{s.end_line},{deeper}"end_column": {s.end_column}{inner}}}{sep}"children": [')
+        kids = children(e)
+        stack.append((inner if kids else "") + "]" + nl + "}")
+        for i in range(len(kids) - 1, -1, -1):
+            stack += (kids[i], deeper), ("," if i else "") + deeper
 
 
 def emit_json(typed_spec):
-    """A machine-readable dump of one typed specification.
-
-    Key order is fixed, so re-serialising a parsed document reproduces
-    the text byte for byte.
+    """A machine-readable dump of one typed specification, written in one
+    walk as ``json.dumps(doc, indent=2)`` would write its document, with
+    no dict per node and none of the reference cycles ``json.dumps``
+    leaves behind.  Key order is fixed, so re-serialising a parsed
+    document reproduces the text byte for byte.  ``json`` is imported
+    here, so only the JSON path loads it.
     """
-    spec = typed_spec.spec
-    doc = {
-        "schema_version": JSON_SCHEMA_VERSION,
-        "function": spec.name,
-        "declared_type": format_type(spec.declared_type),
-        "equations": [
-            {
-                "patterns": [_node_doc(p, typed_spec.node_types) for p in patterns],
-                "rhs": _node_doc(rhs, typed_spec.node_types),
-            }
-            for patterns, rhs in spec.equations
-        ],
-        "diagnostics": [
-            {"node_id": d.node_id, "kind": d.kind, "message": d.message}
-            for d in typed_spec.diagnostics
-        ],
-    }
-    return dump_json(doc)
+    from json.encoder import encode_basestring_ascii as quote
 
-
-def dump_json(value):
-    """``json.dumps(value, indent=2)``, byte for byte, for dicts with
-    string keys, lists and scalars.  The standard library indents through
-    closures that refer to each other, so each of its calls leaves a
-    reference cycle behind; this leaves none.  ``json`` is imported here,
-    so only the JSON path loads it."""
-    from json import dumps
-    from json.encoder import encode_basestring_ascii
-
-    chunks = []
-    _json_chunks(value, "\n", chunks, encode_basestring_ascii, dumps)
-    return "".join(chunks)
+    spec, types = typed_spec.spec, typed_spec.node_types
+    out = [f'{{\n  "schema_version": {JSON_SCHEMA_VERSION},\n  "function": {quote(spec.name)},'
+           f'\n  "declared_type": {quote(format_type(spec.declared_type))},\n  "equations": [']
+    for i, (patterns, rhs) in enumerate(spec.equations):
+        out.append(("\n    }," if i else "") + '\n    {\n      "patterns": [')
+        for j, p in enumerate(patterns):
+            out.append(",\n        " if j else "\n        ")
+            _node_json(p, "\n        ", types, out, quote)
+        out.append(("\n      ]" if patterns else "]") + ',\n      "rhs": ')
+        _node_json(rhs, "\n      ", types, out, quote)
+    out.append(("\n    }\n  ]" if spec.equations else "]") + ',\n  "diagnostics": [')
+    for i, d in enumerate(typed_spec.diagnostics):
+        out.append(f'{"," if i else ""}\n    {{\n      "node_id": {d.node_id},\n      '
+                   f'"kind": {quote(d.kind)},\n      "message": {quote(d.message)}\n    }}')
+    out.append("\n  ]\n}" if typed_spec.diagnostics else "]\n}")
+    return "".join(out)
 
 
 def json_array(texts):
-    """``dump_json`` of a list of documents, given the ``dump_json`` text
-    of each: one level deeper, every line is indented two more spaces."""
+    """``json.dumps(docs, indent=2)`` for a list of documents, given the
+    ``emit_json`` text of each: one level deeper, every line is indented
+    two more spaces."""
     if not texts:
         return "[]"
     return "[\n  " + ",\n  ".join(t.replace("\n", "\n  ") for t in texts) + "\n]"
-
-
-def _json_chunks(value, newline, out, quote, dumps):
-    if isinstance(value, str):
-        out.append(quote(value))
-    elif isinstance(value, int) and not isinstance(value, bool):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (dict, list)):
-        inner = newline + "  "
-        is_dict = isinstance(value, dict)
-        out.append("{" if is_dict else "[")
-        sep = "," + inner
-        for i, item in enumerate(value.items() if is_dict else value):
-            out.append(sep if i else inner)
-            if is_dict:
-                out.append(quote(item[0]) + ": ")
-                item = item[1]
-            _json_chunks(item, inner, out, quote, dumps)
-        out.append((newline if value else "") + ("}" if is_dict else "]"))
-    else:
-        out.append(dumps(value))
 
 
 _DEFAULT_HEADS = {
@@ -257,52 +241,33 @@ class CppTypeMap(Record):
         self.heads = dict(_DEFAULT_HEADS) if heads is None else heads
 
     def with_overrides(self, **heads):
-        merged = dict(self.heads)
-        merged.update(heads)
-        return CppTypeMap(merged)
-
-
-def _collect_vars_in_order(t, order):
-    if isinstance(t, Var):
-        if t not in order:
-            order[t] = f"T{len(order) + 1}"
-    elif isinstance(t, Fun):
-        for p in t.parts:
-            _collect_vars_in_order(p, order)
-    elif isinstance(t, Tuple):
-        _collect_vars_in_order(t.left, order)
-        _collect_vars_in_order(t.right, order)
-    elif isinstance(t, Constructed):
-        for a in t.args:
-            _collect_vars_in_order(a, order)
+        return CppTypeMap({**self.heads, **heads})
 
 
 def render_cpp_type(t, cpp_map=None, var_names=None):
     """Render a type as a C++ type string.
 
     Type variables become template parameter names (T1, T2, ...) in
-    first-occurrence order; pass a shared ``var_names`` dict to keep the
-    naming consistent across the types of one signature.
+    first-occurrence order, each named as it first renders; pass a shared
+    ``var_names`` dict to keep the naming consistent across the types of
+    one signature.
     """
-    cpp_map = cpp_map if cpp_map is not None else CppTypeMap()
-    names = var_names if var_names is not None else {}
-    _collect_vars_in_order(t, names)
-    return _render_cpp(t, cpp_map.heads, names)
+    heads = _DEFAULT_HEADS if cpp_map is None else cpp_map.heads
+    return _render_cpp(t, heads, {} if var_names is None else var_names)
 
 
 # Module level rather than a closure inside render_cpp_type: a recursive
 # closure refers to itself and leaves a reference cycle behind each call.
 def _render_cpp(t, heads, names):
     if isinstance(t, Var):
-        return names[t]
+        return names.setdefault(t, f"T{len(names) + 1}")
     if isinstance(t, Prim):
         if t.name not in heads:
             raise RenderError(f"no C++ mapping for primitive {t.name!r}")
         return heads[t.name]
     if isinstance(t, Fun):
-        ret = _render_cpp(t.parts[-1], heads, names)
         args = ", ".join(_render_cpp(p, heads, names) for p in t.parts[:-1])
-        return f"std::function<{ret}({args})>"
+        return f"std::function<{_render_cpp(t.parts[-1], heads, names)}({args})>"
     if isinstance(t, Tuple):
         if "tuple" not in heads:
             raise RenderError("no C++ mapping for tuple types")
@@ -320,7 +285,6 @@ def _render_cpp(t, heads, names):
 def render_cpp_signature(spec, cpp_map=None):
     """One C++ declaration line for a function's declared type."""
     names = {}
-    _collect_vars_in_order(spec.declared_type, names)
-    ret = render_cpp_type(spec.return_type, cpp_map, names)
     params = ", ".join(render_cpp_type(p, cpp_map, names) for p in spec.param_types)
+    ret = render_cpp_type(spec.return_type, cpp_map, names)
     return f"{ret} {spec.name}({params});"

@@ -137,6 +137,28 @@ def _poison(sess, e):
         sess.ctx.set_type(node.node_id, BOTTOM)
 
 
+def _literal_type(e):
+    """The type of a literal: ``nat`` for a numeral, else ``bool``."""
+    return Prim("nat") if e.literal_kind == INTEGRAL else Prim("bool")
+
+
+def _fit_pattern(sess, pattern, name, t, expected):
+    """Relate a pattern's own type ``t`` to the ``expected`` one and apply
+    the substitution, which is returned.  If they do not relate, flag and
+    poison the pattern and return None."""
+    try:
+        subst = relate(t, expected)
+    except UnificationError:
+        subst = None
+    if subst is None:
+        sess.diagnose(pattern.node_id, MISMATCH,
+                      f"pattern {name!r} has type {t}, expected {expected}")
+        _poison(sess, pattern)
+        return None
+    sess.apply_substitution(subst)
+    return subst
+
+
 def extract_pattern_types(sess, pattern):
     """Walk a pattern whose own type is already in the context, assigning
     types to its parameters by decomposing the constructor's scheme."""
@@ -145,7 +167,12 @@ def extract_pattern_types(sess, pattern):
     if isinstance(expected, Bottom):
         _poison(sess, pattern)
         return
-    if isinstance(pattern, (VarExpr, ConstExpr)):
+    if isinstance(pattern, VarExpr):
+        return
+    if isinstance(pattern, ConstExpr):
+        literal = _literal_type(pattern)
+        if literal is not expected:
+            _fit_pattern(sess, pattern, pattern.literal, literal, expected)
         return
     if isinstance(pattern, AppExpr):
         try:
@@ -163,16 +190,9 @@ def extract_pattern_types(sess, pattern):
             ret = inst.parts[-1]
         else:
             ret = inst
-        try:
-            subst = relate(ret, expected)
-        except UnificationError:
-            subst = None
+        subst = _fit_pattern(sess, pattern, pattern.head, ret, expected)
         if subst is None:
-            sess.diagnose(pattern.node_id, MISMATCH,
-                          f"pattern {pattern.head!r} has type {ret}, expected {expected}")
-            _poison(sess, pattern)
             return
-        sess.apply_substitution(subst)
         for arg, part in zip(pattern.args, inst.parts[:-1] if pattern.args else ()):
             t = apply_subst(subst, part)
             ctx.set_type(arg.node_id, t)
@@ -341,7 +361,7 @@ def bottom_up(sess, e):
         return
 
     if isinstance(e, ConstExpr):
-        t = Prim("nat") if e.literal_kind == INTEGRAL else Prim("bool")
+        t = _literal_type(e)
         ctx.set_type(e.node_id, t)
         sess.trace_rule("Const-BU", e.node_id, None, t)
         return

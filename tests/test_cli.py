@@ -1,5 +1,6 @@
 import gc
 import json
+import sys
 
 import pytest
 
@@ -191,12 +192,34 @@ def test_long_sum_chain_under_check_exits_one(theory_file, capsys):
     assert "expression nested too deeply" in capsys.readouterr().err
 
 
-def test_sum_chain_too_deep_to_render_exits_three(theory_file, capsys):
-    path = theory_file(_equation(" + ".join(["x"] * 600)))
-    assert main(["check", path]) == 0
-    capsys.readouterr()
-    assert main(["annotate", "--emit", "json", path]) == 3
-    assert capsys.readouterr().err.endswith("render error: expression nested too deeply\n")
+@pytest.mark.parametrize("mode", [["check"], ["annotate"], ["annotate", "--emit", "json"]],
+                         ids=["check", "annotate", "json"])
+def test_600_term_sum_chain_exits_zero(theory_file, capsys, mode):
+    assert main([*mode, theory_file(_equation(" + ".join(["x"] * 600)))]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if "json" in mode:
+        # Each node nests two JSON levels: more than ``json.loads``
+        # reads under the default recursion limit.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 1000)
+        try:
+            assert json.loads(out)[0]["function"] == "f"
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+def test_literal_pattern_of_the_wrong_type_exits_two(theory_file, capsys):
+    path = theory_file('fun c :: "bool => nat" where "c 0 = 1" | "c b = 0"')
+    assert main(["check", path]) == 2
+    assert "spec.thy:1:33: mismatch: pattern '0' has type nat, expected bool\n" \
+        in capsys.readouterr().err
+
+
+def test_literal_pattern_binds_a_signature_variable(theory_file, capsys):
+    path = theory_file('fun d :: "\'a => nat" where "d 0 = 1" | "d y = 0"')
+    assert main(["annotate", path]) == 0
+    assert capsys.readouterr() == ("d\nd (0 :: nat) = (1 :: nat)\nd (y :: 'a) = (0 :: nat)\n", "")
 
 
 def _cyclic_garbage(argv):

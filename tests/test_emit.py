@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import holtypes as h
-from holtypes.emit import CppTypeMap, annotated_type, dump_json, json_array
+from holtypes.emit import CppTypeMap, annotated_type, json_array
 from holtypes.errors import RenderError
 
 from corpus import CORPUS, PRODUCT_LISTS_SPEC, TEST_SPEC, infer_source
+from theory_gen import theories, typed_theories
 
 nat = h.Prim("nat")
 a = h.Var("a")
@@ -115,27 +117,16 @@ class TestEmitJson:
         assert set(span) == {"line", "column", "end_line", "end_column"}
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=20,
-)
-
-
 class TestDumpJson:
-    @settings(max_examples=200, deadline=None)
-    @example([])
-    @example({})
-    @example([[], {}, [[]], [{}]])
-    @example({"children": [], "diagnostics": [], "doc": {"a": {}, "b": [[], {"c": []}]}})
-    @given(json_values)
-    def test_matches_the_standard_library(self, value):
-        assert dump_json(value) == json.dumps(value, indent=2)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(json_values, max_size=4))
-    def test_array_of_texts_matches_the_array_of_documents(self, docs):
-        assert json_array([dump_json(d) for d in docs]) == json.dumps(docs, indent=2)
+    @settings(max_examples=150, deadline=None)
+    @example('fun f² :: "nat => \'½ => nat" where "f² x½ ½ = ½ + y²"')
+    @given(st.one_of(theories(), typed_theories()))
+    def test_generated_theories_match_the_standard_library(self, source):
+        _, result = infer_source(source)
+        texts = [h.emit_json(ts) for ts in result.typed_specs]
+        docs = [json.loads(t) for t in texts]
+        assert texts == [json.dumps(d, indent=2) for d in docs]
+        assert json_array(texts) == json.dumps(docs, indent=2)
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_corpus_documents(self, name):
@@ -144,6 +135,24 @@ class TestDumpJson:
         docs = [json.loads(t) for t in texts]
         assert texts == [json.dumps(d, indent=2) for d in docs]
         assert json_array(texts) == json.dumps(docs, indent=2)
+
+    def test_empty_array(self):
+        assert json_array([]) == json.dumps([], indent=2)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_peak_memory_is_within_four_times_the_text(self, name):
+        # The document is written straight from the tree, with no
+        # intermediate dict per node; a ratio, not a clock, pins that.
+        _, result = infer_source(CORPUS[name])
+        for ts in result.typed_specs:
+            text = h.emit_json(ts)
+            tracemalloc.start()
+            try:
+                h.emit_json(ts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * len(text), (peak, len(text))
 
 
 class TestRenderCppType:
