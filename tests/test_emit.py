@@ -117,15 +117,31 @@ class TestEmitJson:
         assert set(span) == {"line", "column", "end_line", "end_column"}
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
 class TestDumpJson:
     @settings(max_examples=150, deadline=None)
     @example('fun f² :: "nat => \'½ => nat" where "f² x½ ½ = ½ + y²"')
     @given(st.one_of(theories(), typed_theories()))
-    def test_generated_theories_match_the_standard_library(self, source):
+    def test_matches_the_standard_library(self, source):
         _, result = infer_source(source)
         texts = [h.emit_json(ts) for ts in result.typed_specs]
         docs = [json.loads(t) for t in texts]
         assert texts == [json.dumps(d, indent=2) for d in docs]
+        assert json_array(texts) == json.dumps(docs, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @example([])
+    @example([[], {}, [[]], [{}]])
+    @example(["a\nb", {"c": "d\ne"}])
+    @given(st.lists(json_values, max_size=4))
+    def test_array_of_texts_matches_the_array_of_documents(self, docs):
+        texts = [json.dumps(d, indent=2) for d in docs]
         assert json_array(texts) == json.dumps(docs, indent=2)
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
